@@ -108,13 +108,6 @@ class PlacementDecision:
     #: (db, "left_move/right_move", seconds) per evaluated alternative
     costs: Tuple[Tuple[str, str, float], ...]
 
-    @property
-    def chosen_movement(self) -> Movement:
-        """The strongest movement used by any moving input."""
-        if Movement.EXPLICIT in (self.left_movement, self.right_movement):
-            return Movement.EXPLICIT
-        return Movement.IMPLICIT
-
 
 class PlanAnnotator:
     """Runs the annotation traversal over an optimized logical plan."""

@@ -27,6 +27,7 @@ submissions cannot leak observations into each other.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -40,38 +41,20 @@ from repro.core.pipeline import (  # noqa: F401  (RecoveryReport re-export)
     PlanPipeline,
     PlanState,
     RecoveryReport,
-    _slots,
 )
 from repro.core.plan import DelegationPlan
-from repro.core.timing import (
-    ScheduleResult,
-    attribute_edge_stats,
-    simulate_schedule,
-)
+from repro.core.timing import ScheduleResult
 from repro.drift.ledger import ObjectLedger
 from repro.drift.reaper import OrphanReaper, ReapReport
 from repro.engine.result import Result
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceeded,
-    OptimizerError,
-    OverloadError,
-    ReproError,
-    SchemaDriftError,
-)
+from repro.errors import OptimizerError, ReproError
 from repro.federation.deployment import Deployment
-from repro.feedback.harvest import harvest_execution
 from repro.feedback.report import qerror_table
 from repro.feedback.store import FeedbackOverlay, FeedbackStore, Observation
 from repro.net.metrics import ResilienceSummary, TransferSummary
 from repro.obs.context import QueryContext
-from repro.qos import PRIORITY_NORMAL, QoSPolicy, QoSReport
+from repro.qos import QoSPolicy, QoSReport
 from repro.sql import ast
-
-#: transfer tags on the execution critical path for prepared
-#: re-executions (no annotation phase, so no consult/probe traffic)
-_PREPARED_CONTROL_TAGS = ("delegation", "control")
-
 
 @dataclass
 class XDBReport:
@@ -90,8 +73,7 @@ class XDBReport:
     consultations: int = 0
     #: per-connector retry/failure counters for this submission
     resilience: Optional[ResilienceSummary] = None
-    #: plan-repair activity (None for prepared-query re-executions that
-    #: re-ran a frozen deployment without any recovery)
+    #: plan-repair, drift, adaptation, and branch-recovery activity
     recovery: Optional[RecoveryReport] = None
     #: the observation context the submission ran under: span tree,
     #: context-scoped metrics, attributed transfers, trace exports
@@ -110,14 +92,6 @@ class XDBReport:
     @property
     def execution_seconds(self) -> float:
         return self.phases.get("exec", 0.0)
-
-    @property
-    def optimization_seconds(self) -> float:
-        return (
-            self.phases.get("prep", 0.0)
-            + self.phases.get("lopt", 0.0)
-            + self.phases.get("ann", 0.0)
-        )
 
     def describe(self) -> str:
         lines = [
@@ -313,14 +287,6 @@ class XDB:
             on_drift=self._invalidate_prepared,
         )
 
-    @property
-    def _metadata_fresh(self) -> bool:
-        return self.pipeline.metadata_fresh
-
-    @_metadata_fresh.setter
-    def _metadata_fresh(self, value: bool) -> None:
-        self.pipeline.metadata_fresh = value
-
     # -- public API --------------------------------------------------------------
 
     def submit(
@@ -358,59 +324,10 @@ class XDB:
             self.reaper.sweep_pending()
         except ReproError:
             pass
-        priority = qos.priority if qos is not None else PRIORITY_NORMAL
         state = self.pipeline.new_state(query, budget=self.repair_budget)
-        ctx = QueryContext(label=state.label, qos=qos)
-        with ctx:
-            prep_span, lopt_span, ann_span = self.pipeline.plan(
-                state, ctx, refresh_metadata=refresh_metadata
-            )
-            self.pipeline.execute(state, ctx, cleanup=cleanup, qos=qos)
-
-            qos_report = None
-            if qos is not None:
-                qos_report = QoSReport(
-                    priority=priority,
-                    deadline_seconds=qos.deadline_seconds,
-                    deadline_remaining_seconds=(
-                        ctx.deadline.remaining_seconds
-                        if ctx.deadline is not None
-                        else None
-                    ),
-                    admission_wait_seconds=ctx.admission_wait_seconds,
-                    admission_sim_seconds=ctx.admission_sim_seconds,
-                    admitted_engines=list(state.admitted_engines),
-                )
-                if state.recovery is not None and state.recovery.partial:
-                    qos_report.partial = True
-                    qos_report.completeness = state.recovery.completeness
-                    qos_report.missing_partitions = list(
-                        state.recovery.missing_partitions
-                    )
-
-            resilience = ctx.resilience_summary(self.connectors)
-            resilience.leaked_objects = self.ledger.leaked_count()
-            report = XDBReport(
-                result=state.result,
-                plan=state.dplan,
-                deployed=state.deployed,
-                annotation=state.annotation,
-                schedule=state.schedule,
-                phases={
-                    "prep": ctx.phase_seconds(prep_span),
-                    "lopt": ctx.phase_seconds(lopt_span),
-                    "ann": ctx.phase_seconds(ann_span),
-                    "exec": state.exec_seconds,
-                },
-                transfers=state.transfers,
-                consultations=state.annotation.consultations,
-                resilience=resilience,
-                recovery=state.recovery,
-                context=ctx,
-                qos=qos_report,
-                feedback=list(state.observations),
-            )
-        return report
+        return self._run(
+            state, qos, cleanup=cleanup, refresh_metadata=refresh_metadata
+        )
 
     def reap(self, dbs: Optional[List[str]] = None) -> ReapReport:
         """Reconcile engine-held delegated objects against the ledger.
@@ -425,9 +342,7 @@ class XDB:
 
     def explain(self, query: Union[str, ast.Select]) -> str:
         """Produce the delegation plan (Table IV style) without executing."""
-        state = self.pipeline.new_state(query, budget=0)
-        self.pipeline.plan_offline(state)
-        return state.dplan.describe()
+        return self.plan_query(query).describe()
 
     def explain_analyze(
         self,
@@ -454,7 +369,7 @@ class XDB:
     ) -> DelegationPlan:
         """Optimize + annotate + finalize, returning the delegation plan."""
         state = self.pipeline.new_state(query, budget=0)
-        self.pipeline.plan_offline(state)
+        self.pipeline.plan(state)
         return state.dplan
 
     def prepare(self, query: Union[str, ast.Select]) -> "PreparedQuery":
@@ -468,11 +383,13 @@ class XDB:
         re-planning).
         """
         state = self.pipeline.new_state(query, budget=0)
-        self.pipeline.plan_offline(state)
-        deployed = self.delegator.delegate(state.dplan)
-        prepared = PreparedQuery(
-            self, deployed, select=state.select, label=state.label
-        )
+        self.pipeline.plan(state)
+        self.pipeline.swap_in(state, self.delegator.delegate(state.dplan))
+        # A kept cascade gets no branch budget (no salvage) and no
+        # mid-query adaptation: pinned snapshots are scans, which a
+        # later execution's refresh would never rebuild.
+        state.kept, state.branch_budget, state.adapted = True, 0, True
+        prepared = PreparedQuery(self, state)
         self._prepared.add(prepared)
         return prepared
 
@@ -486,113 +403,133 @@ class XDB:
 
     # -- internals ------------------------------------------------------------------
 
+    def _run(
+        self,
+        state: PlanState,
+        qos: Optional[QoSPolicy],
+        cleanup: bool = True,
+        refresh_metadata: bool = False,
+    ) -> XDBReport:
+        """Drive ``state`` through the pipeline under a fresh context.
+
+        A kept state (a prepared query) enters at ``execute``: it has
+        no planning phases to trace.
+        """
+        ctx = QueryContext(label=state.label, qos=qos)
+        with ctx:
+            phase_spans = None
+            if not state.kept:
+                phase_spans = self.pipeline.plan(
+                    state, ctx, refresh_metadata=refresh_metadata
+                )
+            self.pipeline.execute(state, ctx, cleanup=cleanup, qos=qos)
+            return self._report(state, ctx, qos, phase_spans)
+
+    def _report(
+        self,
+        state: PlanState,
+        ctx: QueryContext,
+        qos: Optional[QoSPolicy],
+        phase_spans,
+    ) -> XDBReport:
+        """Assemble the report of one executed state.  ``phase_spans``
+        (prep, lopt, ann) is None for a state that entered at
+        ``execute``: no planning phases, no annotation."""
+        recovery = state.recovery
+        qos_report = None
+        if qos is not None:
+            stale = bool(state.stale_reason)
+            qos_report = QoSReport(
+                priority=qos.priority,
+                deadline_seconds=qos.deadline_seconds,
+                deadline_remaining_seconds=(
+                    ctx.deadline.remaining_seconds
+                    if ctx.deadline is not None
+                    else None
+                ),
+                admission_wait_seconds=ctx.admission_wait_seconds,
+                admission_sim_seconds=ctx.admission_sim_seconds,
+                admitted_engines=list(state.admitted_engines),
+                stale_read=stale,
+                staleness_seconds=(
+                    self.pipeline.staleness(state) if stale else None
+                ),
+                stale_reason=state.stale_reason,
+                partial=recovery.partial,
+                completeness=recovery.completeness,
+                missing_partitions=list(recovery.missing_partitions),
+            )
+        prep_span, lopt_span, ann_span = phase_spans or (None, None, None)
+        annotation = state.annotation if phase_spans else None
+        resilience = ctx.resilience_summary(self.connectors)
+        resilience.leaked_objects = self.ledger.leaked_count()
+        return XDBReport(
+            result=state.result,
+            plan=state.dplan,
+            deployed=state.deployed,
+            annotation=annotation,
+            schedule=state.schedule,
+            phases={
+                "prep": ctx.phase_seconds(prep_span) if prep_span else 0.0,
+                "lopt": ctx.phase_seconds(lopt_span) if lopt_span else 0.0,
+                "ann": ctx.phase_seconds(ann_span) if ann_span else 0.0,
+                "exec": state.exec_seconds,
+            },
+            transfers=state.transfers,
+            consultations=annotation.consultations if annotation else 0,
+            resilience=resilience,
+            recovery=recovery,
+            context=ctx,
+            qos=qos_report,
+            feedback=list(state.observations),
+        )
+
     def _invalidate_prepared(self, db: str, table: str) -> None:
         """Mark prepared queries scanning ``db.table`` as stale."""
         for prepared in list(self._prepared):
-            prepared._note_drift(db, table)
-
-    def _sniff_drift(
-        self, exc: BaseException, dplan: Optional[DelegationPlan]
-    ) -> Optional[SchemaDriftError]:
-        return self.pipeline.sniff_drift(exc, dplan)
-
-    @staticmethod
-    def _parse(query: Union[str, ast.Select]) -> ast.Statement:
-        return PlanPipeline.parse(query)
-
-    @staticmethod
-    def _placement(dplan: DelegationPlan) -> Dict[str, str]:
-        return PlanPipeline.placement(dplan)
-
-    @staticmethod
-    def _unavailable_db(exc: BaseException) -> Optional[str]:
-        return PlanPipeline.unavailable_db(exc)
+            state = prepared._state
+            placement = PlanPipeline.placement(state.deployed.plan)
+            if table.lower() in {name.lower() for name in placement}:
+                state.stale_plan = True
 
 
 class PreparedQuery:
     """A delegated query kept deployed for repeated execution.
 
-    Use as a context manager (or call :meth:`close`) so the short-lived
-    views / foreign tables are dropped from the DBMSes afterwards.
+    A thin handle over the query's cached :class:`PlanState`, whose
+    deployed cascade is *kept*: every :meth:`execute` enters the
+    pipeline at the ``execute`` stage.  Use as a context manager (or
+    call :meth:`close`) so the short-lived views / foreign tables are
+    dropped from the DBMSes afterwards.
 
     Every :meth:`execute` runs under a *fresh* :class:`QueryContext`,
     so repeated executions report identical, independent numbers —
     counters cannot leak from one run into the next.
     """
 
-    def __init__(
-        self,
-        xdb: XDB,
-        deployed: DeployedQuery,
-        select: Optional[ast.Statement] = None,
-        label: str = "",
-    ):
+    def __init__(self, xdb: XDB, state: PlanState):
         self._xdb = xdb
-        self.deployed = deployed
-        #: the source query AST, kept so schema drift (or a blown
-        #: estimate) can trigger a full replan of this handle
-        self._select = select
-        #: the source SQL text — prepared contexts used to label every
-        #: span "prepared"; now they carry the actual query
-        self._label = label
-        self.executions = 0
+        self._state = state
         self._closed = False
-        #: set when the catalog learned a table this plan scans has
-        #: drifted — the next execute replans (or serves a bounded
-        #: stale read) instead of running the stale cascade
-        self._stale_plan = False
-        #: set when the last execution's Q-Error blew the threshold —
-        #: the next execute replans against the warmed feedback store
-        #: (the learned cardinalities re-steer the join-order DP)
-        self._estimates_blown = False
-        #: executions counted at the current deployment's creation —
-        #: the first run after (re)delegation uses the CTAS snapshots
-        self._deploy_execution = 0
-        #: simulated time the materialization snapshots were last built
-        #: (the CTAS of delegation counts as the first refresh)
-        self._refreshed_at = xdb.deployment.health.clock.now()
+        #: executions share the kept state, so they run one at a time
+        self._lock = threading.Lock()
 
     @property
-    def plan(self) -> DelegationPlan:
-        return self.deployed.plan
+    def deployed(self) -> DeployedQuery:
+        return self._state.deployed
+
+    @property
+    def executions(self) -> int:
+        return self._state.executions
 
     @property
     def stale_plan(self) -> bool:
         """Whether the deployed cascade predates a known schema drift."""
-        return self._stale_plan
+        return self._state.stale_plan
 
-    def invalidate(self) -> None:
-        """Force the next :meth:`execute` to replan before running."""
-        self._stale_plan = True
-
-    def _note_drift(self, db: str, table: str) -> None:
-        """Client callback: ``db.table`` drifted — stale if we scan it."""
-        placement = XDB._placement(self.deployed.plan)
-        if table.lower() in {name.lower() for name in placement}:
-            self._stale_plan = True
-
-    def staleness_seconds(self) -> float:
-        """Age of the materialization snapshots (simulated seconds)."""
-        now = self._xdb.deployment.health.clock.now()
-        return max(now - self._refreshed_at, 0.0)
-
-    def _degradable(self, qos: Optional[QoSPolicy]) -> bool:
-        """Whether a stale answer is an acceptable fallback right now:
-        the caller opted into a staleness bound and the existing
-        snapshots are still within it."""
-        return (
-            qos is not None
-            and qos.max_staleness_seconds is not None
-            and self.staleness_seconds() <= qos.max_staleness_seconds
-        )
-
-    def _snapshot_hosts_blocked(self) -> bool:
-        """Any materialization host with an open breaker right now."""
-        health = self._xdb.deployment.health
-        return any(
-            health.is_open(db)
-            for db in {db for db, _, _ in self.deployed.materializations}
-        )
+    @property
+    def _estimates_blown(self) -> bool:
+        return self._state.estimates_blown
 
     def execute(self, qos: Optional[QoSPolicy] = None) -> XDBReport:
         """Run the deployed XDB query against the current base data.
@@ -605,13 +542,13 @@ class PreparedQuery:
         snapshots are younger than the bound.  The served staleness is
         recorded in ``report.qos``.
 
-        Schema drift: when the catalog learns a scanned table drifted
-        (or this execution trips over the drift itself), the handle
-        re-introspects the table and — within the client's
-        ``repair_budget`` — either serves a staleness-bounded read
-        from the existing snapshots (``report.qos.stale_reason ==
-        "drift"``) or replans end to end: re-optimize, re-delegate,
-        swap the deployed cascade, and retry.
+        Schema drift: when the catalog learns a scanned table drifted,
+        the next execution either serves a staleness-bounded read from
+        the existing snapshots (``report.qos.stale_reason == "drift"``)
+        or replans: re-optimize, re-delegate, swap the deployed cascade.
+        A drift this execution trips over itself is absorbed like a
+        submission's — re-introspect and replan — within the client's
+        ``repair_budget``.  Engine outages propagate.
 
         Cardinality feedback: when the client carries a feedback store
         and an execution's worst Q-Error blows the adaptivity
@@ -621,283 +558,13 @@ class PreparedQuery:
         """
         if self._closed:
             raise OptimizerError("prepared query is closed")
-        budget = self._xdb.repair_budget
-        recovery = RecoveryReport()
-        while True:
-            if self._stale_plan:
-                if self._degradable(qos) and self.deployed.materializations:
-                    # The snapshots predate the drift and are inside
-                    # the caller's staleness bound: serve them rather
-                    # than paying for a replan.
-                    try:
-                        report = self._execute_once(qos, prefer_stale=True)
-                        if recovery.drifted:
-                            report.recovery = recovery
-                        return report
-                    except (DeadlineExceeded, OverloadError):
-                        raise
-                    except ReproError:
-                        # The stale cascade cannot answer it either
-                        # (the drifted table feeds a view): replan.
-                        pass
-                self._replan()
-            elif self._estimates_blown and self._select is not None:
-                # The warmed feedback store holds the corrected
-                # cardinalities; re-enter the pipeline at optimize.
-                self._replan()
-                recovery.adaptations += 1
-            try:
-                report = self._execute_once(qos, prefer_stale=False)
-            except SchemaDriftError as drift:
-                if budget <= 0:
-                    raise
-                budget -= 1
-                self._absorb_drift(drift, recovery)
-                continue
-            except ReproError as exc:
-                drift = self._xdb._sniff_drift(exc, self.deployed.plan)
-                if drift is None or budget <= 0:
-                    raise
-                budget -= 1
-                self._absorb_drift(drift, recovery)
-                continue
-            if recovery.drifted or recovery.adapted:
-                report.recovery = recovery
-            return report
-
-    def _absorb_drift(
-        self, drift: SchemaDriftError, recovery: RecoveryReport
-    ) -> None:
-        """Adopt the drifted table's live schema; mark the plan stale."""
-        recovery.drift_events += 1
-        key = (drift.db, drift.table)
-        if key not in recovery.drifted_tables:
-            recovery.drifted_tables.append(key)
-        self._xdb.catalog.reintrospect(drift.db, drift.table)
-        if self._xdb.feedback is not None:
-            self._xdb.feedback.invalidate_table(drift.db, drift.table)
-        self._stale_plan = True
-
-    def _replan(self) -> None:
-        """Re-optimize and re-delegate against the refreshed catalog.
-
-        Re-enters the planning pipeline at the ``optimize`` stage (the
-        catalog refresh is deliberately skipped — the prepared handle
-        trusts its catalog, which drift recovery already refreshed).
-        Swaps in the fresh cascade before tearing down the old one, so
-        a failing replan leaves the previous deployment intact (still
-        executable for staleness-bounded reads).
-        """
-        xdb = self._xdb
-        if self._select is None:
-            raise OptimizerError(
-                "prepared query is stale after schema drift and kept no "
-                "source query to replan from"
-            )
-        state = xdb.pipeline.new_state(self._select, budget=0)
-        state.select = self._select
-        state.stage = "optimize"
-        xdb.pipeline.plan_offline(state)
-        fresh = xdb.delegator.delegate(state.dplan)
-        old = self.deployed
-        self.deployed = fresh
-        self._stale_plan = False
-        self._estimates_blown = False
-        self._deploy_execution = self.executions
-        self._refreshed_at = xdb.deployment.health.clock.now()
-        try:
-            old.cleanup()
-        except ReproError:
-            # Leaked objects are in the ledger; the reaper collects
-            # them once their engine is reachable again.
-            pass
-
-    def _execute_once(
-        self, qos: Optional[QoSPolicy], prefer_stale: bool = False
-    ) -> XDBReport:
-        """One execution attempt of the currently deployed cascade."""
-        network = self._xdb.deployment.network
-        health = self._xdb.deployment.health
-        gate = self._xdb.deployment.workload_gate
-        priority = qos.priority if qos is not None else PRIORITY_NORMAL
-        ctx = QueryContext(label=self._label or "prepared", qos=qos)
-        stale_read = prefer_stale
-        stale_reason = "drift" if prefer_stale else ""
-        with ctx:
-            tracer = ctx.tracer
-            lease = None
-            try:
-                with tracer.span("exec", kind="phase") as exec_span:
-                    if stale_read:
-                        # Drift-degraded read: the snapshots already
-                        # hold the answer, admit the root engine only.
-                        engines = [self.deployed.root_db]
-                    else:
-                        engines = sorted(
-                            {
-                                task.annotation
-                                for task in self.deployed.plan.tasks.values()
-                            }
-                        )
-                    ctx.enter_phase("admission")
-                    try:
-                        with tracer.span("admit", kind="step"):
-                            lease = gate.acquire(
-                                engines,
-                                priority=priority,
-                                deadline=ctx.deadline,
-                            )
-                            ctx.record_admission(lease)
-                    except OverloadError:
-                        if stale_read or not self._degradable(qos):
-                            raise
-                        # Saturated engine set, acceptable staleness:
-                        # serve from the snapshots, admitting against
-                        # the root engine only.
-                        stale_read = True
-                        stale_reason = "overload"
-                        with tracer.span("admit", kind="step"):
-                            lease = gate.acquire(
-                                [self.deployed.root_db],
-                                priority=priority,
-                                deadline=ctx.deadline,
-                            )
-                            ctx.record_admission(lease)
-                    refresh = (
-                        self.executions > self._deploy_execution
-                        and not stale_read
-                    )
-                    if (
-                        refresh
-                        and self._snapshot_hosts_blocked()
-                        and self._degradable(qos)
-                    ):
-                        stale_read = True
-                        stale_reason = "breaker-open"
-                        refresh = False
-                    if refresh:
-                        # First execution already materialized during
-                        # delegation; later ones rebuild the snapshots.
-                        ctx.enter_phase("refresh")
-                        try:
-                            with tracer.span("refresh", kind="step"):
-                                self.deployed.refresh_materializations()
-                            self._refreshed_at = health.clock.now()
-                        except CircuitOpenError:
-                            if not self._degradable(qos):
-                                raise
-                            stale_read = True
-                            stale_reason = "breaker-open"
-                    if stale_read:
-                        tracer.add_event(
-                            "stale-read",
-                            staleness_seconds=self.staleness_seconds(),
-                        )
-                    root_connector = self._xdb.connectors[
-                        self.deployed.root_db
-                    ]
-                    ctx.enter_phase("execute")
-                    with tracer.span("execute", kind="step"):
-                        result = root_connector.run_query(
-                            self.deployed.xdb_query,
-                            self._xdb.deployment.client_node,
-                        )
-                    if ctx.deadline is not None:
-                        ctx.deadline.check(
-                            "execute", detail="post-execution"
-                        )
-                    self.executions += 1
-                    attribute_edge_stats(
-                        self.deployed, exec_span.subtree_records()
-                    )
-                    with tracer.span("schedule", kind="step"):
-                        schedule = simulate_schedule(
-                            self.deployed,
-                            self._xdb.connectors,
-                            network,
-                            self._xdb.deployment.client_node,
-                            result_bytes=result.byte_size(),
-                            worker_slots=_slots(self._xdb.deployment),
-                        )
-                    observations = harvest_execution(
-                        self.deployed.plan,
-                        exec_span,
-                        self._xdb.catalog,
-                        len(result.rows),
-                    )
-                    if self._xdb.feedback is not None and observations:
-                        with tracer.span("harvest", kind="step"):
-                            self._xdb.feedback.observe_many(observations)
-                        threshold = (
-                            self._xdb.pipeline.adaptivity_threshold
-                            if self._xdb.pipeline.adaptivity_threshold
-                            is not None
-                            else 2.0
-                        )
-                        worst = max(
-                            (obs.q_error for obs in observations),
-                            default=1.0,
-                        )
-                        if worst > threshold and self._select is not None:
-                            self._estimates_blown = True
-            finally:
-                if lease is not None:
-                    lease.release()
-
-            qos_report = None
-            if qos is not None:
-                qos_report = QoSReport(
-                    priority=priority,
-                    deadline_seconds=qos.deadline_seconds,
-                    deadline_remaining_seconds=(
-                        ctx.deadline.remaining_seconds
-                        if ctx.deadline is not None
-                        else None
-                    ),
-                    admission_wait_seconds=ctx.admission_wait_seconds,
-                    admission_sim_seconds=ctx.admission_sim_seconds,
-                    admitted_engines=(
-                        list(lease.engines) if lease is not None else []
-                    ),
-                    stale_read=stale_read,
-                    staleness_seconds=(
-                        self.staleness_seconds() if stale_read else None
-                    ),
-                    stale_reason=stale_reason if stale_read else "",
-                )
-
-            resilience = ctx.resilience_summary(self._xdb.connectors)
-            resilience.leaked_objects = self._xdb.ledger.leaked_count()
-            report = XDBReport(
-                result=result,
-                plan=self.deployed.plan,
-                deployed=self.deployed,
-                annotation=None,
-                schedule=schedule,
-                phases={
-                    "prep": 0.0,
-                    "lopt": 0.0,
-                    "ann": 0.0,
-                    "exec": (
-                        schedule.total_seconds
-                        + ctx.control_seconds(
-                            exec_span, tags=_PREPARED_CONTROL_TAGS
-                        )
-                        + ctx.backoff_in(exec_span)
-                    ),
-                },
-                transfers=ctx.transfer_summary(exec_span),
-                resilience=resilience,
-                context=ctx,
-                qos=qos_report,
-                feedback=observations,
-            )
-        return report
+        with self._lock:
+            return self._xdb._run(self._state, qos)
 
     def close(self) -> None:
         """Drop every deployed object."""
         if not self._closed:
-            self.deployed.cleanup()
+            self._state.deployed.cleanup()
             self._closed = True
 
     def __enter__(self) -> "PreparedQuery":

@@ -96,6 +96,7 @@ class DeployedQuery:
             self.ledger.close_epoch(self.epoch)
         remaining: List[Tuple[str, str, str]] = []
         errors: List[str] = []
+        cause: Optional[ReproError] = None
         for db, kind, name in reversed(self.created_objects):
             try:
                 self._connector(db).execute_ddl(
@@ -104,6 +105,7 @@ class DeployedQuery:
                 if self.ledger is not None:
                     self.ledger.mark_dropped(db, name)
             except ReproError as exc:
+                cause = exc
                 remaining.append((db, kind, name))
                 errors.append(f"{kind} {name!r} on {db!r}: {exc}")
                 if self.ledger is not None:
@@ -114,7 +116,7 @@ class DeployedQuery:
                 "cleanup could not drop every short-lived object: "
                 + "; ".join(errors),
                 leaked=remaining,
-            )
+            ) from cause
 
     def refresh_materializations(self) -> None:
         """Re-run every explicit edge's CTAS against fresh base data.
@@ -195,9 +197,9 @@ class DelegationEngine:
             deadline = getattr(ctx, "deadline", None) if ctx else None
             if deadline is not None:
                 with deadline.grace():
-                    rolled_back, leaked = self._rollback(created)
+                    rolled_back, leaked = self.rollback(created)
             else:
-                rolled_back, leaked = self._rollback(created)
+                rolled_back, leaked = self.rollback(created)
             exc.rolled_back = rolled_back
             exc.leaked = leaked
             self._settle_epoch(epoch, rolled_back, leaked)
@@ -233,7 +235,7 @@ class DelegationEngine:
                 (db, kind, name) for _tid, db, kind, name in salvaged
             }
             to_rollback = [obj for obj in created if obj not in keep_set]
-            rolled_back, leaked = self._rollback(
+            rolled_back, leaked = self.rollback(
                 to_rollback, skip_db=dead_db
             )
             self._settle_epoch(epoch, rolled_back, leaked)
@@ -325,12 +327,12 @@ class DelegationEngine:
             self._ledger.mark_leaked(db, name)
         self._ledger.close_epoch(epoch)
 
-    def _rollback(
+    def rollback(
         self,
         created: List[Tuple[str, str, str]],
         skip_db: Optional[str] = None,
     ) -> Tuple[List[Tuple[str, str, str]], List[Tuple[str, str, str]]]:
-        """Drop partially created objects, newest first (best effort).
+        """Drop delegated objects, newest first (best effort).
 
         Returns ``(rolled_back, leaked)`` — drops go through the
         connectors' retry layer, so transient faults during rollback

@@ -8,18 +8,27 @@ the prepared-query replan.  This module folds all of it into a single
     parse → catalog → optimize → annotate → finalize → delegate → execute
 
 Every stage writes its output onto the state and advances
-``state.stage``; re-running the pipeline skips completed stages.  All
-three recovery flavours become *stage re-entry within the repair
-budget*:
+``state.stage``; re-running the pipeline skips completed stages.  Every
+recovery flavour is *stage re-entry within a budget*.  Failures go
+through one classifier that maps them to a :class:`RecoveryAction` row
+(re-entry stage, budget, cleanup policy), and one loop interprets it:
 
 * **outage repair** re-enters at ``annotate`` (the annotator sees the
   open breaker and routes replicated tables to a surviving holder);
+* **branch repair** re-enters at ``annotate`` with the completed
+  sibling snapshots pinned, drawing on the separate branch budget;
 * **schema drift** re-enters at ``optimize`` (the catalog re-adopted
   the live schema, so the plan must be rebuilt from the source query);
-* **blown estimates** (new — the Q-Error loop) re-enter at
-  ``annotate`` with the already-materialized producer tasks pinned as
-  scans of their ``xm_`` snapshots, so only the *unexecuted suffix* of
-  the plan is re-annotated and re-delegated.
+* **blown estimates** (the Q-Error loop) re-enter at ``annotate`` with
+  the already-materialized producer tasks pinned as scans of their
+  ``xm_`` snapshots, so only the *unexecuted suffix* of the plan is
+  re-annotated and re-delegated.
+
+A prepared query is a *kept* state: its deployed cascade outlives one
+execution, so each re-execution enters at ``execute`` — refresh the
+materializations (or serve a staleness-bounded stale read) and re-run
+the root query.  Only the drift rows apply to it; its replans swap the
+new cascade in before the old one is torn down.
 
 The pipeline also closes the cardinality-feedback loop: after every
 execution it harvests (estimate, actual) pairs from the delegation
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.annotate import Annotation, PlanAnnotator
 from repro.core.catalog import GlobalCatalog
@@ -56,10 +65,12 @@ from repro.engine.result import Result
 from repro.errors import (
     BindError,
     CatalogError,
+    CircuitOpenError,
     DeadlineExceeded,
     DelegationError,
     EngineUnavailableError,
     OptimizerError,
+    OverloadError,
     ReproError,
     SchemaDriftError,
     TypeCheckError,
@@ -73,6 +84,7 @@ from repro.net.metrics import TransferSummary
 from repro.obs.clock import wall_now
 from repro.obs.context import QueryContext
 from repro.qos import PRIORITY_NORMAL, QoSPolicy
+from repro.qos.gate import AdmissionLease
 from repro.relational import algebra
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -99,6 +111,37 @@ def _stage_index(stage: str) -> int:
         raise OptimizerError(
             f"unknown pipeline stage {stage!r} (expected one of {STAGES})"
         )
+
+
+@dataclass(frozen=True)
+class RecoveryAction:
+    """One row of the failure → recovery table the execute loop reads."""
+
+    #: the failure this row recovers from
+    failure: str
+    #: the stage the state re-enters at
+    stage: str
+    #: the :class:`PlanState` counter the re-entry draws on (None: free)
+    budget: Optional[str]
+    #: what happens to the failed attempt's cascade: ``"discard"`` drops
+    #: it best-effort, ``"pin"`` keeps its salvaged snapshots (pinned
+    #: into the plan) and drops the rest, ``"keep"`` leaves it deployed
+    cleanup: str
+
+
+#: rows for a one-shot submission, which owns nothing past its run
+DRIFT = RecoveryAction("drift", "optimize", "budget", "discard")
+BRANCH = RecoveryAction("branch", "annotate", "branch_budget", "pin")
+OUTAGE = RecoveryAction("outage", "annotate", "budget", "discard")
+#: rows for a kept cascade: it stays deployed until a replan's fresh
+#: cascade is swapped in, so a failed replan still has it to serve from
+KEPT_DRIFT = RecoveryAction("drift", "optimize", "budget", "keep")
+#: the stale read of a drifted kept cascade failed (the drifted table
+#: feeds a view): replan instead — not a repair, so it draws no budget
+STALE_MISS = RecoveryAction("stale-read", "optimize", None, "keep")
+
+#: failures whose presence in a cause chain smells like schema drift
+_SCHEMA_ERRORS = (BindError, TypeCheckError, CatalogError)
 
 
 @dataclass
@@ -282,15 +325,37 @@ class PlanState:
     observations: List[Observation] = field(default_factory=list)
     exec_seconds: float = 0.0
     transfers: Optional[TransferSummary] = None
+    #: the admission lease held while the state executes
+    lease: Optional[AdmissionLease] = None
     admitted_engines: List[str] = field(default_factory=list)
+    #: why this execution read stale snapshots ("" = a fresh read):
+    #: "drift", "overload", or "breaker-open"
+    stale_reason: str = ""
+    #: True for a prepared query: the deployed cascade outlives one
+    #: execution, and each re-execution enters at ``execute``
+    kept: bool = False
+    #: successful executions of this state
+    executions: int = 0
+    #: executions counted when the current cascade was delegated — the
+    #: first run after delegation reads the CTAS snapshots as built
+    deploy_execution: int = 0
+    #: simulated time the materialization snapshots were last built
+    refreshed_at: float = 0.0
+    #: the catalog learned that a table the cascade scans drifted
+    stale_plan: bool = False
+    #: an execution's Q-Error blew the threshold: the next execution of
+    #: a kept cascade replans under the learned cardinalities
+    estimates_blown: bool = False
 
 
 class PlanPipeline:
     """Drives a :class:`PlanState` through the planning stages.
 
-    Owns the one and only annotate/finalize repair loop; ``XDB.submit``,
-    drift recovery, mid-query adaptation, and prepared-query replans
-    all re-enter the pipeline at a stage instead of duplicating it.
+    Owns the one and only execution path: ``XDB.submit`` runs every
+    stage, a prepared query enters at ``execute``, and drift recovery,
+    outage and branch repair, mid-query adaptation, and prepared-query
+    replans all re-enter the pipeline at a stage instead of
+    duplicating it.
     """
 
     def __init__(
@@ -370,12 +435,17 @@ class PlanPipeline:
     # -- stage plumbing ----------------------------------------------------
 
     @staticmethod
-    def _step(tracer, name: str):
-        """A step span when tracing, a no-op otherwise — so the traced
-        and offline paths share one stage body."""
+    def _step(tracer, name: str, kind: str = "step"):
+        """A span when tracing, a no-op otherwise — so the traced and
+        offline paths share one stage body."""
         if tracer is None:
             return contextlib.nullcontext()
-        return tracer.span(name, kind="step")
+        return tracer.span(name, kind=kind)
+
+    def _optimize(self, state: PlanState, tracer=None) -> None:
+        with self._step(tracer, "optimize"):
+            state.logical_plan = self.optimizer.optimize(state.select)
+        state.stage = "annotate"
 
     def _annotate_finalize(self, state: PlanState, tracer=None) -> None:
         """THE annotate+finalize body — every caller re-enters here."""
@@ -387,97 +457,59 @@ class PlanPipeline:
             )
         state.stage = "delegate"
 
-    def _annotate_with_repair(
-        self, state: PlanState, tracer, phase: str = "ann"
-    ) -> None:
-        """Annotate+finalize with the outage-repair loop around it."""
-        health = self.deployment.health
-        while True:
-            try:
-                self._annotate_finalize(state, tracer)
-                return
-            except EngineUnavailableError as exc:
-                db = self.unavailable_db(exc)
-                if db is None or state.budget <= 0:
-                    raise
-                state.budget -= 1
-                state.recovery.repair_attempts += 1
-                state.recovery.repaired_dbs.append(db)
-                tracer.add_event("repair", db=db, phase=phase)
-                health.report_outage(
-                    db, "annotation-time consultation failed"
-                )
-
     # -- planning ----------------------------------------------------------
 
     def plan(
         self,
         state: PlanState,
-        ctx: QueryContext,
+        ctx: Optional[QueryContext] = None,
         refresh_metadata: bool = False,
     ):
-        """Run the planning stages under ``ctx``'s tracer.
+        """Run the planning stages, traced under ``ctx`` when given.
 
         Returns the (prep, lopt, ann) phase spans for the report's
-        phase breakdown.  Stages the state already passed are skipped,
-        so a re-entered state resumes where it was reset to.
+        phase breakdown (all None without a context).  Stages the state
+        already passed are skipped, so a re-entered state resumes where
+        it was reset to.  Offline planning (``explain`` / ``plan_query``
+        / ``prepare``) runs on a zero budget, so it propagates the first
+        failure.
         """
-        tracer = ctx.tracer
+        tracer = ctx.tracer if ctx is not None else None
 
-        with tracer.span("prep", kind="phase") as prep_span:
-            ctx.enter_phase("prep")
+        with self._step(tracer, "prep", kind="phase") as prep_span:
+            if ctx is not None:
+                ctx.enter_phase("prep")
             if _stage_index(state.stage) <= _stage_index("parse"):
-                with tracer.span("parse", kind="step"):
+                with self._step(tracer, "parse"):
                     state.select = self.parse(state.query)
                 state.stage = "catalog"
             if _stage_index(state.stage) <= _stage_index("catalog"):
                 if refresh_metadata or not self.metadata_fresh:
-                    with tracer.span("catalog-refresh", kind="step"):
+                    with self._step(tracer, "catalog-refresh"):
                         self.catalog.refresh()
                     self.metadata_fresh = True
                 state.stage = "optimize"
 
-        with tracer.span("lopt", kind="phase") as lopt_span:
-            ctx.enter_phase("lopt")
+        with self._step(tracer, "lopt", kind="phase") as lopt_span:
+            if ctx is not None:
+                ctx.enter_phase("lopt")
             if _stage_index(state.stage) <= _stage_index("optimize"):
-                with tracer.span("optimize", kind="step"):
-                    state.logical_plan = self.optimizer.optimize(
-                        state.select
-                    )
-                state.stage = "annotate"
+                self._optimize(state, tracer)
 
-        with tracer.span("ann", kind="phase") as ann_span:
-            ctx.enter_phase("ann")
-            if _stage_index(state.stage) <= _stage_index("finalize"):
-                self._annotate_with_repair(state, tracer, phase="ann")
+        with self._step(tracer, "ann", kind="phase") as ann_span:
+            if ctx is not None:
+                ctx.enter_phase("ann")
+            # An engine found down while consulting re-enters through
+            # the outage row of the same recovery table execution uses.
+            while _stage_index(state.stage) <= _stage_index("finalize"):
+                try:
+                    self._annotate_finalize(state, tracer)
+                except EngineUnavailableError as exc:
+                    if not self._recover(state, exc, None, tracer, "ann"):
+                        raise
             state.recovery.placement_before = self.placement(state.dplan)
 
         return prep_span, lopt_span, ann_span
-
-    def plan_offline(
-        self, state: PlanState, refresh_metadata: bool = False
-    ) -> PlanState:
-        """Run the planning stages without a query context.
-
-        Used by ``explain`` / ``plan_query`` / ``prepare`` (from the
-        ``parse`` stage) and by prepared-query replans (re-entry at
-        ``optimize``, which correctly skips the catalog refresh).  No
-        repair loop: offline planning propagates the first failure.
-        """
-        if _stage_index(state.stage) <= _stage_index("parse"):
-            state.select = self.parse(state.query)
-            state.stage = "catalog"
-        if _stage_index(state.stage) <= _stage_index("catalog"):
-            if refresh_metadata or not self.metadata_fresh:
-                self.catalog.refresh()
-                self.metadata_fresh = True
-            state.stage = "optimize"
-        if _stage_index(state.stage) <= _stage_index("optimize"):
-            state.logical_plan = self.optimizer.optimize(state.select)
-            state.stage = "annotate"
-        if _stage_index(state.stage) <= _stage_index("finalize"):
-            self._annotate_finalize(state, None)
-        return state
 
     # -- execution ---------------------------------------------------------
 
@@ -490,243 +522,68 @@ class PlanPipeline:
     ) -> PlanState:
         """Delegate and execute the planned state (the exec phase).
 
-        Self-healing re-enters earlier stages in place: an outage
-        re-annotates, drift re-optimizes, and a blown estimate pins the
-        materialized producers and re-annotates the suffix — all within
-        ``state.budget``.
+        A one-shot state runs the delegate and execute stages; a kept
+        state (a prepared query) enters at ``execute`` and re-runs its
+        deployed cascade.  A failed attempt is mapped by
+        :meth:`classify` to a :class:`RecoveryAction` row, and the loop
+        re-enters the row's stage within the row's budget: an outage
+        re-annotates, drift re-optimizes, a branch fault re-annotates
+        with the completed siblings pinned, and a blown estimate pins
+        the materialized producers and re-annotates the suffix.
         """
-        network = self.deployment.network
-        health = self.deployment.health
-        gate = self.deployment.workload_gate
-        priority = qos.priority if qos is not None else PRIORITY_NORMAL
+        if state.kept:
+            self._enter_kept(state, qos)
         tracer = ctx.tracer
         recovery = state.recovery
 
-        lease = None
-        deployed = None
         try:
             with tracer.span("exec", kind="phase") as exec_span:
                 repair_start: Optional[Tuple[float, float]] = None
                 while True:
-                    deployed = None
-                    state.deployed = None
+                    state.stale_reason = ""
                     try:
-                        if state.dplan is None:
+                        if state.stage == "optimize":
+                            self._optimize(state, tracer)
+                        if state.stage == "annotate":
                             # Re-enter at the annotate stage: the
                             # annotator now sees the open breaker (or
                             # the pinned plan), so replicated tables
                             # land on a healthy holder and Rule 4 drops
                             # the dead candidate.
                             self._annotate_finalize(state, tracer)
-                        dplan = state.dplan
-                        # Lazy drift verification: once per table per
-                        # catalog epoch.  A refresh pre-marks everything
-                        # it read, so the common case is an empty list —
-                        # no span, no engine calls.
-                        pending = self.catalog.unverified(
-                            self.placement(dplan)
-                        )
-                        if pending:
-                            with tracer.span("verify", kind="step"):
-                                for vdb, vtable in pending:
-                                    self.catalog.verify_table(vdb, vtable)
-                        engines = sorted(
-                            {
-                                task.annotation
-                                for task in dplan.tasks.values()
-                            }
-                        )
-                        if lease is not None and set(lease.engines) != set(
-                            engines
-                        ):
-                            # The repaired plan routes around the outage
-                            # onto a different engine set: swap the
-                            # admission tokens to match.
-                            lease.release()
-                            lease = None
-                        if lease is None:
-                            ctx.enter_phase("admission")
-                            with tracer.span("admit", kind="step"):
-                                lease = gate.acquire(
-                                    engines,
-                                    priority=priority,
-                                    deadline=ctx.deadline,
-                                )
-                                ctx.record_admission(lease)
-                        # Straggler hedging is pure overhead on a
-                        # saturated federation: the capacity probe here
-                        # decides whether the execution layer may launch
-                        # speculative duplicates at all.
-                        ctx.hedge_multiplier = (
-                            qos.hedge_multiplier if qos is not None else None
-                        )
-                        ctx.hedging_allowed = gate.allow_hedge(engines)
-                        ctx.enter_phase("delegate")
-                        with tracer.span("delegate", kind="step"):
-                            # With branch budget left, a mid-cascade
-                            # failure salvages the completed sibling
-                            # snapshots instead of rolling them back —
-                            # branch recovery pins them in place.
-                            deployed = self.delegator.delegate(
-                                dplan, salvage=state.branch_budget > 0
-                            )
-                        state.deployed = deployed
-                        if state.pending_keeps:
-                            self._refence_keeps(state, deployed)
-                        if (
-                            self.adaptivity_threshold is not None
-                            and not state.adapted
-                            and self._maybe_adapt(
-                                state, deployed, exec_span, tracer
-                            )
-                        ):
-                            # Blown estimate: the materialized producers
-                            # are pinned and the suffix re-enters at
-                            # annotate.  The old cascade (minus keeps)
-                            # is already torn down.
-                            deployed = None
-                            state.deployed = None
-                            continue
-                        root_connector = self.connectors[deployed.root_db]
-                        ctx.enter_phase("execute")
-                        with tracer.span("execute", kind="step"):
-                            result = root_connector.run_query(
-                                deployed.xdb_query,
-                                self.deployment.client_node,
-                            )
-                        if ctx.deadline is not None:
-                            # A result that lands after the deadline is
-                            # a miss, not a success: cancel it.
-                            ctx.deadline.check(
-                                "execute", detail="post-execution"
-                            )
-                        state.result = result
+                        if state.stage == "delegate":
+                            self._delegate_stage(state, ctx, qos, exec_span)
+                            if state.stage != "execute":
+                                # Blown estimate: the suffix re-enters
+                                # at annotate with the producers pinned.
+                                continue
+                        self._execute_stage(state, ctx, qos)
                         break
-                    except SchemaDriftError as drift:
-                        if state.budget <= 0:
-                            raise
-                        state.budget -= 1
+                    except ReproError as exc:
                         if repair_start is None:
                             repair_start = (wall_now(), tracer.sim_now)
-                        if deployed is not None:
-                            try:
-                                deployed.cleanup()
-                            except ReproError:
-                                pass
-                        self.recover_drift(state, drift, tracer)
-                        state.dplan = None
-                    except (
-                        EngineUnavailableError,
-                        DelegationError,
-                    ) as exc:
-                        # A delegation failure whose cause chain is
-                        # schema-shaped (bind/type/catalog) may be a
-                        # drifted remote table rather than an outage:
-                        # force-verify the placed tables and, if one
-                        # drifted, take the drift recovery path instead
-                        # of plan repair.
-                        drift = self.sniff_drift(exc, state.dplan)
-                        if drift is not None:
-                            if state.budget <= 0:
-                                raise drift from exc
-                            state.budget -= 1
-                            if repair_start is None:
-                                repair_start = (
-                                    wall_now(),
-                                    tracer.sim_now,
-                                )
-                            if deployed is not None:
-                                try:
-                                    deployed.cleanup()
-                                except ReproError:
-                                    pass
-                            self.recover_drift(state, drift, tracer)
-                            state.dplan = None
-                            continue
-                        # Branch-scoped recovery first: a shard-level
-                        # fault (or an engine fault that left completed
-                        # sibling snapshots to pin) is repaired *in
-                        # place* — quarantine/re-route only the failed
-                        # branch, keep the finished work.  Falls through
-                        # to the whole-query repair when it cannot help.
-                        if self._branch_recover(
-                            state, exc, deployed, qos, tracer
-                        ):
-                            if repair_start is None:
-                                repair_start = (wall_now(), tracer.sim_now)
-                            deployed = None
-                            state.deployed = None
-                            continue
-                        db = self.unavailable_db(exc)
-                        if db is None or state.budget <= 0:
-                            self._abandon_salvage(state, exc, tracer)
+                        if not self._recover(state, exc, qos, tracer):
                             raise
-                        state.budget -= 1
-                        recovery.repair_attempts += 1
-                        recovery.repaired_dbs.append(db)
-                        if repair_start is None:
-                            repair_start = (wall_now(), tracer.sim_now)
-                        tracer.add_event("repair", db=db, phase="exec")
-                        # Trip the breaker FIRST so the best-effort
-                        # cleanup of the partial deployment fails fast
-                        # on the dead engine instead of burning its
-                        # retry budget per object.
-                        health.report_outage(db, "execution failed")
-                        if deployed is not None:
-                            try:
-                                deployed.cleanup()
-                            except ReproError:
-                                pass
-                        # Whole-query repair cannot reuse salvaged
-                        # snapshots or earlier pins (they may live on
-                        # the dead engine): drop them and rebuild the
-                        # plan from the source query.
-                        self._abandon_salvage(
-                            state, exc, tracer, skip_db=db
-                        )
-                        state.dplan = None
-                    except (
-                        BindError,
-                        TypeCheckError,
-                        CatalogError,
-                    ) as exc:
-                        # The root XDB query can hit the drifted table
-                        # directly (no DDL cascade to wrap the failure
-                        # in a DelegationError): a raw bind/type/catalog
-                        # error here gets the same sniff before
-                        # propagating.
-                        drift = self.sniff_drift(exc, state.dplan)
-                        if drift is None or state.budget <= 0:
-                            raise
-                        state.budget -= 1
-                        if repair_start is None:
-                            repair_start = (wall_now(), tracer.sim_now)
-                        if deployed is not None:
-                            try:
-                                deployed.cleanup()
-                            except ReproError:
-                                pass
-                        self.recover_drift(state, drift, tracer)
-                        state.dplan = None
                 if repair_start is not None:
                     repair_wall, repair_sim = repair_start
                     recovery.repair_seconds = (
                         wall_now() - repair_wall
                     ) + (tracer.sim_now - repair_sim)
+                deployed = state.deployed
+                result = state.result
                 recovery.placement = self.placement(state.dplan)
                 attribute_edge_stats(
                     deployed, exec_span.subtree_records()
                 )
                 with tracer.span("schedule", kind="step"):
-                    schedule = simulate_schedule(
+                    state.schedule = simulate_schedule(
                         deployed,
                         self.connectors,
-                        network,
+                        self.deployment.network,
                         self.deployment.client_node,
                         result_bytes=result.byte_size(),
                         worker_slots=_slots(self.deployment),
                     )
-                state.schedule = schedule
                 # Harvest the Q-Error observations while the span tree
                 # still has the operator spans at hand.  Observations
                 # ride on every report (explain_analyze's Q-Error
@@ -740,6 +597,15 @@ class PlanPipeline:
                 if self.feedback is not None and state.observations:
                     with tracer.span("harvest", kind="step"):
                         self.feedback.observe_many(state.observations)
+                    # A kept cascade replans before its next execution
+                    # once an estimate blew the threshold.
+                    threshold = (
+                        self.adaptivity_threshold
+                        if self.adaptivity_threshold is not None
+                        else 2.0
+                    )
+                    worst = max(obs.q_error for obs in state.observations)
+                    state.estimates_blown |= worst > threshold
 
             # Middleware CPU during exec is not on the critical path
             # (the DBMSes run decentrally); control messages are, and
@@ -747,7 +613,7 @@ class PlanPipeline:
             # and any repair-time re-consultations — all read off the
             # exec span's subtree.
             state.exec_seconds = (
-                schedule.total_seconds
+                state.schedule.total_seconds
                 + ctx.control_seconds(exec_span)
                 + ctx.backoff_in(exec_span)
             )
@@ -758,22 +624,349 @@ class PlanPipeline:
             # part of the execution window's transfer summary) but
             # still under the admission lease, and — with a deadline —
             # under the grace budget, so a query that *met* its
-            # deadline cannot fail while tearing itself down.
+            # deadline cannot fail while tearing itself down.  A kept
+            # cascade stays deployed until its handle closes.
             ctx.current_phase = "cleanup"
-            if cleanup:
+            if cleanup and not state.kept:
                 if ctx.deadline is not None:
                     with ctx.deadline.grace():
                         deployed.cleanup()
                 else:
                     deployed.cleanup()
         except DeadlineExceeded as exc:
-            self.cancel_deployment(ctx, deployed, exc)
+            if not state.kept:
+                self.cancel_deployment(ctx, state.deployed, exc)
             raise
         finally:
-            if lease is not None:
-                state.admitted_engines = list(lease.engines)
-                lease.release()
+            if state.lease is not None:
+                state.admitted_engines = list(state.lease.engines)
+                state.lease.release()
+                state.lease = None
         return state
+
+    def _enter_kept(
+        self, state: PlanState, qos: Optional[QoSPolicy]
+    ) -> None:
+        """Re-arm a kept state for its next execution at ``execute``.
+
+        A cascade that predates a known drift is served as a stale read
+        when the caller's staleness bound admits its snapshots, and
+        replanned otherwise; a cascade whose estimates blew up replans
+        against the warmed feedback store.
+        """
+        state.stage = "execute"
+        state.budget = self.repair_budget
+        state.dplan = state.deployed.plan
+        state.recovery = RecoveryReport()
+        if state.stale_plan:
+            if not (
+                self._degradable(state, qos)
+                and state.deployed.materializations
+            ):
+                state.stage = "optimize"
+        elif state.estimates_blown:
+            state.stage = "optimize"
+            state.recovery.adaptations += 1
+
+    def _admit(
+        self,
+        state: PlanState,
+        ctx: QueryContext,
+        engines: List[str],
+        qos: Optional[QoSPolicy],
+    ) -> None:
+        priority = qos.priority if qos is not None else PRIORITY_NORMAL
+        with ctx.tracer.span("admit", kind="step"):
+            state.lease = self.deployment.workload_gate.acquire(
+                engines, priority=priority, deadline=ctx.deadline
+            )
+            ctx.record_admission(state.lease)
+
+    def _delegate_stage(
+        self,
+        state: PlanState,
+        ctx: QueryContext,
+        qos: Optional[QoSPolicy],
+        exec_span,
+    ) -> None:
+        """Verify, admit, and deploy the finalized plan."""
+        tracer = ctx.tracer
+        dplan = state.dplan
+        # Lazy drift verification: once per table per catalog epoch.  A
+        # refresh pre-marks everything it read, so the common case is
+        # an empty list — no span, no engine calls.
+        pending = self.catalog.unverified(self.placement(dplan))
+        if pending:
+            with tracer.span("verify", kind="step"):
+                for vdb, vtable in pending:
+                    self.catalog.verify_table(vdb, vtable)
+        engines = _engines(dplan)
+        if state.lease is not None and set(state.lease.engines) != set(
+            engines
+        ):
+            # The repaired plan routes around the outage onto a
+            # different engine set: swap the admission tokens to match.
+            state.lease.release()
+            state.lease = None
+        if state.lease is None:
+            ctx.enter_phase("admission")
+            self._admit(state, ctx, engines, qos)
+        # Straggler hedging is pure overhead on a saturated federation:
+        # the capacity probe here decides whether the execution layer
+        # may launch speculative duplicates at all.
+        ctx.hedge_multiplier = (
+            qos.hedge_multiplier if qos is not None else None
+        )
+        ctx.hedging_allowed = self.deployment.workload_gate.allow_hedge(
+            engines
+        )
+        ctx.enter_phase("delegate")
+        with tracer.span("delegate", kind="step"):
+            # With branch budget left, a mid-cascade failure salvages
+            # the completed sibling snapshots instead of rolling them
+            # back — branch recovery pins them in place.
+            deployed = self.delegator.delegate(
+                dplan, salvage=state.branch_budget > 0
+            )
+        self.swap_in(state, deployed, tracer)
+        if state.pending_keeps:
+            self._refence_keeps(state, deployed)
+        state.stage = "execute"
+        if self.adaptivity_threshold is not None and not state.adapted:
+            self._maybe_adapt(state, deployed, exec_span, tracer)
+
+    def swap_in(
+        self, state: PlanState, deployed: DeployedQuery, tracer=None
+    ) -> None:
+        """Install a freshly delegated cascade, then drop the one it
+        replaces — so a failed re-delegation leaves a kept cascade
+        intact, still able to serve staleness-bounded reads."""
+        old = state.deployed
+        state.deployed = deployed
+        state.stale_plan = False
+        state.estimates_blown = False
+        state.deploy_execution = state.executions
+        state.refreshed_at = self.deployment.health.clock.now()
+        self._discard(old, tracer)
+
+    def _execute_stage(
+        self,
+        state: PlanState,
+        ctx: QueryContext,
+        qos: Optional[QoSPolicy],
+    ) -> None:
+        """Run the deployed cascade's root query.
+
+        A kept cascade is admitted here and refreshes its
+        materializations first (the run right after delegation reads
+        the CTAS snapshots as built).  With a staleness bound the run
+        may instead serve the existing snapshots, admitting the root
+        engine only: because the cascade predates a drift, because the
+        gate sheds the full engine set, or because a snapshot host's
+        breaker is open.
+        """
+        tracer = ctx.tracer
+        deployed = state.deployed
+        if state.stale_plan:
+            # _enter_kept found the snapshots inside the bound.
+            state.stale_reason = "drift"
+        if state.lease is None:
+            ctx.enter_phase("admission")
+            root_only = [deployed.root_db]
+            engines = root_only if state.stale_reason else _engines(deployed.plan)
+            try:
+                self._admit(state, ctx, engines, qos)
+            except OverloadError:
+                if state.stale_reason or not self._degradable(state, qos):
+                    raise
+                state.stale_reason = "overload"
+                self._admit(state, ctx, root_only, qos)
+        refresh = (
+            not state.stale_reason
+            and state.executions > state.deploy_execution
+        )
+        health = self.deployment.health
+        if (
+            refresh
+            and any(health.is_open(db) for db, _, _ in deployed.materializations)
+            and self._degradable(state, qos)
+        ):
+            state.stale_reason = "breaker-open"
+            refresh = False
+        if refresh:
+            ctx.enter_phase("refresh")
+            try:
+                with tracer.span("refresh", kind="step"):
+                    deployed.refresh_materializations()
+                state.refreshed_at = health.clock.now()
+            except CircuitOpenError:
+                if not self._degradable(state, qos):
+                    raise
+                state.stale_reason = "breaker-open"
+        if state.stale_reason:
+            tracer.add_event(
+                "stale-read", staleness_seconds=self.staleness(state)
+            )
+        ctx.enter_phase("execute")
+        with tracer.span("execute", kind="step"):
+            state.result = self.connectors[deployed.root_db].run_query(
+                deployed.xdb_query, self.deployment.client_node
+            )
+        if ctx.deadline is not None:
+            # A result that lands after the deadline is a miss, not a
+            # success: cancel it.
+            ctx.deadline.check("execute", detail="post-execution")
+        state.executions += 1
+
+    def staleness(self, state: PlanState) -> float:
+        """Age of the materialization snapshots (simulated seconds)."""
+        now = self.deployment.health.clock.now()
+        return max(now - state.refreshed_at, 0.0)
+
+    def _degradable(
+        self, state: PlanState, qos: Optional[QoSPolicy]
+    ) -> bool:
+        """Whether a stale answer is an acceptable fallback right now:
+        the caller opted into a staleness bound and the existing
+        snapshots are still within it."""
+        return (
+            qos is not None
+            and qos.max_staleness_seconds is not None
+            and self.staleness(state) <= qos.max_staleness_seconds
+        )
+
+    # -- the recovery table ------------------------------------------------
+
+    def classify(
+        self,
+        state: PlanState,
+        exc: ReproError,
+        qos: Optional[QoSPolicy],
+        tracer,
+    ) -> Optional[Tuple[RecoveryAction, object]]:
+        """Map a failed attempt to its recovery row, or None to raise.
+
+        Returns ``(row, cause)``: the detected drift for a drift row,
+        the ``(action, db, table)`` branch event for a branch row, the
+        blamed DBMS for an outage row.  The only place drift is
+        sniffed: a schema-shaped failure force-verifies the placed
+        tables, and a drift found with the budget spent surfaces as
+        the typed :class:`SchemaDriftError`, chained to the failure.
+        """
+        if (
+            state.kept
+            and state.stale_reason == "drift"
+            and not isinstance(exc, (DeadlineExceeded, OverloadError))
+        ):
+            return STALE_MISS, None
+        drift = self.sniff_drift(exc, state.dplan)
+        if drift is not None:
+            if state.budget <= 0:
+                if drift is exc:
+                    raise drift
+                raise drift from exc
+            return (KEPT_DRIFT if state.kept else DRIFT), drift
+        if state.kept or not isinstance(
+            exc, (EngineUnavailableError, DelegationError)
+        ):
+            return None
+        # Branch-scoped recovery first: a shard-level fault (or an
+        # engine fault that left completed sibling snapshots to pin) is
+        # repaired *in place*; the whole-query repair is the fallback.
+        branch = self._branch_failure(state, exc, qos, tracer)
+        if branch is not None:
+            return BRANCH, branch
+        db = self.unavailable_db(exc)
+        if db is None or state.budget <= 0:
+            self._abandon_salvage(state, exc, tracer)
+            return None
+        return OUTAGE, db
+
+    def _recover(
+        self,
+        state: PlanState,
+        exc: ReproError,
+        qos: Optional[QoSPolicy],
+        tracer,
+        phase: str = "exec",
+    ) -> bool:
+        """Apply the recovery row :meth:`classify` picks for ``exc``:
+        draw its budget, clean up, and reset the stage.  False when no
+        row applies — the caller re-raises."""
+        row = self.classify(state, exc, qos, tracer)
+        if row is None:
+            return False
+        action, cause = row
+        if action.budget is not None:
+            setattr(state, action.budget, getattr(state, action.budget) - 1)
+        recovery = state.recovery
+        if action is OUTAGE:
+            recovery.repair_attempts += 1
+            recovery.repaired_dbs.append(cause)
+            tracer.add_event("repair", db=cause, phase=phase)
+            # Trip the breaker FIRST so the best-effort cleanup of the
+            # partial deployment fails fast on the dead engine instead
+            # of burning its retry budget per object.
+            self.deployment.health.report_outage(
+                cause, f"engine failed during {phase}"
+            )
+        pinned: List[int] = []
+        if action.cleanup == "pin":
+            pinned = self._pin_salvage(state, self._salvage_of(exc))
+        if action.cleanup != "keep":
+            self._discard(state.deployed, tracer, keep=state.pending_keeps)
+            state.deployed = None
+        state.dplan = None
+        state.stage = action.stage
+        if action.failure == "drift":
+            self.recover_drift(state, cause, tracer)
+        elif action is BRANCH:
+            kind, blamed, shard = cause
+            recovery.branch_repairs += 1
+            recovery.branch_events.append(cause)
+            tracer.add_event(
+                "branch-repair",
+                action=kind,
+                db=blamed,
+                table=shard,
+                pinned=len(pinned),
+            )
+        elif action is OUTAGE:
+            # Whole-query repair cannot reuse salvaged snapshots or
+            # earlier pins (they may live on the dead engine): drop
+            # them and rebuild the plan from the source query.
+            self._abandon_salvage(state, exc, tracer, skip_db=cause)
+        return True
+
+    @staticmethod
+    def _discard(
+        deployed: Optional[DeployedQuery],
+        tracer,
+        keep: List[Tuple[str, str, str]] = (),
+    ) -> None:
+        """Best-effort teardown of a failed or superseded cascade.
+
+        Objects in ``keep`` are released from the cascade first (they
+        live on as pinned snapshots).  A DROP that fails leaves its
+        object marked leaked in the ledger, for the reaper to collect
+        once the engine is reachable, and shows up as a
+        ``cleanup-failed`` event.
+        """
+        if deployed is None:
+            return
+        if keep:
+            keep_set = set(keep)
+            deployed.created_objects[:] = [
+                obj for obj in deployed.created_objects if obj not in keep_set
+            ]
+        try:
+            deployed.cleanup()
+        except DelegationError as exc:
+            error = type(exc.__cause__ or exc).__name__
+            for db, _kind, name in exc.leaked:
+                tracer.add_event(
+                    "cleanup-failed", db=db, object=name, error=error
+                )
 
     # -- drift recovery ----------------------------------------------------
 
@@ -811,20 +1004,14 @@ class PlanPipeline:
             self.on_drift(drift.db, drift.table)
         state.stage = "optimize"
         try:
-            with tracer.span("optimize", kind="step"):
-                state.logical_plan = self.optimizer.optimize(state.select)
-            state.stage = "annotate"
+            self._optimize(state, tracer)
         except ReproError:
             if adopted is not None:
                 self.catalog.quarantine(drift.db, drift.table)
             recovery.quarantined.append(key)
             tracer.add_event("quarantine", db=drift.db, table=drift.table)
             try:
-                with tracer.span("optimize", kind="step"):
-                    state.logical_plan = self.optimizer.optimize(
-                        state.select
-                    )
-                state.stage = "annotate"
+                self._optimize(state, tracer)
             except ReproError as replan_exc:
                 # Even with the drifted holder out of the way the query
                 # cannot bind (the table vanished everywhere, or it
@@ -838,13 +1025,22 @@ class PlanPipeline:
     ) -> Optional[SchemaDriftError]:
         """Check whether a schema-shaped failure traces back to drift.
 
-        Only failures whose cause chain contains a bind/type/catalog
-        error are sniffed — transient giveups and outages never touch
-        the fingerprint path, so their fault schedules are unchanged.
-        The sniff force-verifies each placed table and returns the
-        first drift found (None when the schemas all still match).
+        A detected :class:`SchemaDriftError` is its own answer.  Only
+        outage, delegation, and bind/type/catalog failures whose cause
+        chain contains a bind/type/catalog error are sniffed —
+        transient giveups and outages never touch the fingerprint path,
+        so their fault schedules are unchanged.  The sniff force-verifies
+        each placed table and returns the first drift found (None when
+        the schemas all still match).
         """
-        if dplan is None or not self._schema_shaped(exc):
+        if isinstance(exc, SchemaDriftError):
+            return exc
+        sniffed = (EngineUnavailableError, DelegationError) + _SCHEMA_ERRORS
+        if (
+            dplan is None
+            or not isinstance(exc, sniffed)
+            or not self._schema_shaped(exc)
+        ):
             return None
         for table, db in sorted(self.placement(dplan).items()):
             try:
@@ -858,16 +1054,9 @@ class PlanPipeline:
     @staticmethod
     def _schema_shaped(exc: BaseException) -> bool:
         """Whether a failure's cause chain smells like schema drift."""
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(
-                node, (BindError, TypeCheckError, CatalogError)
-            ):
-                return True
-            node = node.__cause__ or node.__context__
-        return False
+        return any(
+            isinstance(node, _SCHEMA_ERRORS) for node in _cause_chain(exc)
+        )
 
     # -- mid-query adaptivity (the Q-Error loop's fast path) ---------------
 
@@ -877,7 +1066,7 @@ class PlanPipeline:
         deployed: DeployedQuery,
         exec_span,
         tracer,
-    ) -> bool:
+    ) -> None:
         """Suffix replan at the materialization boundary, if warranted.
 
         Delegation already ran every explicit edge's CTAS, so the rows
@@ -890,8 +1079,8 @@ class PlanPipeline:
         work is never redone), and the unexecuted suffix re-enters the
         pipeline at the annotate stage with corrected cardinalities.
 
-        Returns True when the state was re-entered (caller loops);
-        False to proceed with the current deployment.
+        Re-entry resets ``state.stage`` to ``annotate`` (the caller
+        loops); otherwise the current deployment proceeds.
         """
         state.adapted = True  # one adaptation round per submission
         dplan = state.dplan
@@ -908,50 +1097,27 @@ class PlanPipeline:
             if not edge.moved_rows or edge.moved_rows <= 0:
                 continue
             producer = dplan.tasks[edge.producer_id]
-            src = producer.source_expr
-            if src is None:
-                continue
-            # A producer whose output needed the finalizer's dedup
-            # projection has snapshot columns that no longer match its
-            # logical schema — leave it to be recomputed.
-            names = [f.name.lower() for f in src.schema]
-            if len(set(names)) != len(names):
+            if not _pinnable(producer):
                 continue
             actual = float(edge.moved_rows)
             q = qerror.q_error(producer.estimated_rows, actual)
-            candidates.append((edge, producer, actual, q))
+            consumer = dplan.tasks[edge.consumer_id]
+            candidates.append(
+                (
+                    producer,
+                    consumer.annotation,
+                    "TABLE",
+                    f"xm_{deployed.query_id}_{producer.task_id}",
+                    actual,
+                )
+            )
             if q > threshold:
                 blown.append((producer.task_id, q))
         if not blown:
-            return False
-
-        plan = state.logical_plan
-        keeps: List[Tuple[str, str, str]] = []
-        overlay = FeedbackOverlay(self.feedback)
-        pinned_ids: List[int] = []
-        for edge, producer, actual, _q in candidates:
-            consumer = dplan.tasks[edge.consumer_id]
-            xm_name = f"xm_{deployed.query_id}_{producer.task_id}"
-            pinned = algebra.Scan(
-                table=xm_name,
-                binding=f"xpin_{producer.task_id}",
-                schema=producer.source_expr.schema,
-                source_db=consumer.annotation,
-                placeholder=True,
-                requalify=False,
-            )
-            pinned.estimated_rows = actual
-            plan, replaced = _replace_subtree(
-                plan, producer.source_expr, pinned
-            )
-            if not replaced:
-                # Nested producer already covered by an ancestor's pin.
-                continue
-            keeps.append((consumer.annotation, "TABLE", xm_name))
-            overlay.pin(overlay.fingerprint_of(producer.source_expr), actual)
-            pinned_ids.append(producer.task_id)
+            return
+        keeps, _pinned, _unpinned = self._pin_snapshots(state, candidates)
         if not keeps:
-            return False
+            return
 
         with tracer.span("adapt", kind="step"):
             for task_id, q in blown:
@@ -960,37 +1126,71 @@ class PlanPipeline:
                     task=task_id,
                     qerror=(-1.0 if q == qerror.INFINITE else round(q, 3)),
                 )
-            # The rebuilt ancestors lost their estimates and Rule 4
-            # requires one on every node: a fresh estimator pass over
-            # the pinned plan recomputes them — the pinned scans feed
-            # their *actual* row counts in, and the overlay folds in
-            # any store-learned corrections for untouched subtrees.
-            estimator = CardinalityEstimator(
-                self.catalog.scan_stats, feedback=overlay
-            )
-            _annotate_all(plan, estimator)
             recovery = state.recovery
             recovery.adaptations += 1
             recovery.blown_estimates.extend(blown)
-            recovery.pinned_tasks.extend(pinned_ids)
-            state.logical_plan = plan
             state.dplan = None
             state.stage = "annotate"
-            state.pending_keeps = keeps
             # Release the kept snapshots from the old cascade, then
             # tear the rest of it down (the new suffix deployment gets
             # fresh names under a fresh epoch, so nothing collides).
-            keep_set = set(keeps)
-            deployed.created_objects[:] = [
-                obj
-                for obj in deployed.created_objects
-                if obj not in keep_set
-            ]
-            try:
-                deployed.cleanup()
-            except ReproError:
-                pass
-        return True
+            self._discard(deployed, tracer, keep=keeps)
+            state.deployed = None
+
+    def _pin_snapshots(
+        self, state: PlanState, snapshots
+    ) -> Tuple[
+        List[Tuple[str, str, str]], List[int], List[Tuple[str, str, str]]
+    ]:
+        """Pin existing ``xm_`` snapshots into the logical plan.
+
+        Each ``(producer, db, kind, name, actual rows)`` producer's
+        subtree becomes a placeholder scan of its snapshot, so
+        re-delegation never redoes that work.  The rebuilt ancestors
+        lost their estimates and Rule 4 requires one on every node: a
+        fresh estimator pass recomputes them — the pinned scans feed
+        their actual row counts in, and the overlay folds in any
+        store-learned corrections for untouched subtrees.  Snapshots
+        that cannot stand in for their producer, or whose producer an
+        ancestor's pin already covers, stay unpinned.  Returns
+        ``(keeps, pinned task ids, unpinned objects)``.
+        """
+        plan = state.logical_plan
+        overlay = FeedbackOverlay(self.feedback)
+        keeps: List[Tuple[str, str, str]] = []
+        pinned_ids: List[int] = []
+        unpinned: List[Tuple[str, str, str]] = []
+        for producer, db, kind, name, actual in snapshots:
+            replaced = False
+            if _pinnable(producer):
+                src = producer.source_expr
+                scan = algebra.Scan(
+                    table=name,
+                    binding=f"xpin_{producer.task_id}",
+                    schema=src.schema,
+                    source_db=db,
+                    placeholder=True,
+                    requalify=False,
+                )
+                scan.estimated_rows = (
+                    actual
+                    if actual is not None
+                    else float(producer.estimated_rows or 1.0)
+                )
+                plan, replaced = _replace_subtree(plan, src, scan)
+            if not replaced:
+                unpinned.append((db, kind, name))
+                continue
+            keeps.append((db, "TABLE", name))
+            pinned_ids.append(producer.task_id)
+            if actual is not None:
+                overlay.pin(overlay.fingerprint_of(src), actual)
+        if keeps:
+            _annotate_all(plan, self._estimator(overlay))
+            state.logical_plan = plan
+            state.pending_keeps.extend(keeps)
+            state.recovery.pinned_tasks.extend(pinned_ids)
+        return keeps, pinned_ids, unpinned
 
     def _refence_keeps(
         self, state: PlanState, deployed: DeployedQuery
@@ -1012,15 +1212,15 @@ class PlanPipeline:
 
     # -- branch-scoped fault domains ---------------------------------------
 
-    def _branch_recover(
+    def _branch_failure(
         self,
         state: PlanState,
         exc: BaseException,
-        deployed: Optional[DeployedQuery],
         qos: Optional[QoSPolicy],
         tracer,
-    ) -> bool:
-        """Repair a failed *branch* in place instead of the whole query.
+    ) -> Optional[Tuple[str, str, str]]:
+        """Whether a failed *branch* can be repaired in place instead of
+        the whole query.
 
         Two failure domains below the query qualify:
 
@@ -1034,17 +1234,17 @@ class PlanPipeline:
           never redone) and only the failed branch re-plans around the
           outage.
 
-        Salvaged snapshots ride in on the :class:`DelegationError` and
-        are pinned exactly like the adaptivity path's keeps.  Returns
-        True when the state was re-entered at ``annotate`` (the caller
-        loops); False hands the failure to the whole-query repair.
+        Salvaged snapshots ride in on the :class:`DelegationError`; the
+        branch row pins them exactly like the adaptivity path's keeps.
+        Returns the ``(action, db, table)`` branch event — action is
+        ``"failover"``, ``"partial"`` or ``"reroute"`` — or None to hand
+        the failure to the whole-query repair.
         """
         if state.branch_budget <= 0 or state.dplan is None:
-            return False
+            return None
         recovery = state.recovery
         health = self.deployment.health
         shard_db, shard = self._fault_shard(exc)
-        salvaged = self._salvage_of(exc)
         if shard is not None:
             if shard_db is not None and not self.catalog.is_quarantined(
                 shard_db, shard
@@ -1067,46 +1267,18 @@ class PlanPipeline:
                 and self._holder_available(db)
             ]
             if healthy:
-                action = "failover"
-            elif self._try_partial(state, shard, qos, tracer):
-                action = "partial"
-            else:
-                return False
-            blamed = shard_db or ""
-        else:
-            # Engine-level failure: branch-local recovery only pays off
-            # when completed sibling snapshots exist to pin; otherwise
-            # the whole-query repair path does the identical work.
-            blamed = self.unavailable_db(exc)
-            if not salvaged or blamed is None:
-                return False
-            health.report_outage(blamed, "branch execution failed")
-            action = "reroute"
-        pinned = self._pin_salvage(state, salvaged)
-        if deployed is not None:
-            keep_set = set(state.pending_keeps)
-            deployed.created_objects[:] = [
-                obj
-                for obj in deployed.created_objects
-                if obj not in keep_set
-            ]
-            try:
-                deployed.cleanup()
-            except ReproError:
-                pass
-        state.branch_budget -= 1
-        recovery.branch_repairs += 1
-        recovery.branch_events.append((action, blamed, shard or ""))
-        tracer.add_event(
-            "branch-repair",
-            action=action,
-            db=blamed,
-            table=shard or "",
-            pinned=len(pinned),
-        )
-        state.dplan = None
-        state.stage = "annotate"
-        return True
+                return "failover", shard_db or "", shard
+            if self._try_partial(state, shard, qos, tracer):
+                return "partial", shard_db or "", shard
+            return None
+        # Engine-level failure: branch-local recovery only pays off when
+        # completed sibling snapshots exist to pin; otherwise the
+        # whole-query repair path does the identical work.
+        blamed = self.unavailable_db(exc)
+        if not self._salvage_of(exc) or blamed is None:
+            return None
+        health.report_outage(blamed, "branch execution failed")
+        return "reroute", blamed, ""
 
     def _try_partial(
         self,
@@ -1146,10 +1318,7 @@ class PlanPipeline:
                 floor=qos.completeness_floor,
             )
             return False
-        estimator = CardinalityEstimator(
-            self.catalog.scan_stats, feedback=FeedbackOverlay(self.feedback)
-        )
-        _annotate_all(plan, estimator)
+        _annotate_all(plan, self._estimator())
         state.logical_plan = plan
         recovery.partial = True
         recovery.completeness = completeness
@@ -1165,69 +1334,28 @@ class PlanPipeline:
     def _pin_salvage(self, state: PlanState, salvaged) -> List[int]:
         """Pin salvaged ``xm_`` snapshots into the logical plan.
 
-        The branch-recovery twin of :meth:`_maybe_adapt`'s pinning:
-        each salvaged producer's subtree becomes a placeholder scan of
-        its existing snapshot, so re-delegation recomputes only the
-        failed branch.  Snapshots that cannot be pinned (producer
-        already covered by an ancestor's pin, or its output needed the
-        finalizer's dedup projection) are dropped best-effort instead
-        of leaking.
+        The branch-recovery twin of :meth:`_maybe_adapt`'s pinning, so
+        re-delegation recomputes only the failed branch.  Snapshots
+        that cannot be pinned are dropped best-effort instead of
+        leaking.
         """
         if not salvaged or state.dplan is None:
             return []
         dplan = state.dplan
-        plan = state.logical_plan
-        overlay = FeedbackOverlay(self.feedback)
-        keeps: List[Tuple[str, str, str]] = []
-        pinned_ids: List[int] = []
-        unusable: List[Tuple[str, str, str]] = []
+        snapshots = []
         for task_id, db, kind, name in salvaged:
-            producer = dplan.tasks.get(task_id)
-            src = producer.source_expr if producer is not None else None
-            usable = src is not None
-            if usable:
-                names = [f.name.lower() for f in src.schema]
-                usable = len(set(names)) == len(names)
-            if usable:
-                actual = None
-                for edge in dplan.edges:
-                    if edge.producer_id == task_id and edge.moved_rows:
-                        actual = float(edge.moved_rows)
-                        break
-                pinned = algebra.Scan(
-                    table=name,
-                    binding=f"xpin_{task_id}",
-                    schema=src.schema,
-                    source_db=db,
-                    placeholder=True,
-                    requalify=False,
-                )
-                pinned.estimated_rows = (
-                    actual
-                    if actual is not None
-                    else float(producer.estimated_rows or 1.0)
-                )
-                plan, replaced = _replace_subtree(plan, src, pinned)
-                usable = replaced
-                if replaced:
-                    keeps.append((db, "TABLE", name))
-                    pinned_ids.append(task_id)
-                    if actual is not None:
-                        overlay.pin(
-                            overlay.fingerprint_of(src), actual
-                        )
-            if not usable:
-                unusable.append((db, kind, name))
-        if unusable:
-            self._drop_objects(unusable)
-        if keeps:
-            estimator = CardinalityEstimator(
-                self.catalog.scan_stats, feedback=overlay
+            actual = next(
+                (
+                    float(edge.moved_rows)
+                    for edge in dplan.edges
+                    if edge.producer_id == task_id and edge.moved_rows
+                ),
+                None,
             )
-            _annotate_all(plan, estimator)
-            state.logical_plan = plan
-            state.pending_keeps.extend(keeps)
-            state.recovery.pinned_tasks.extend(pinned_ids)
+            snapshots.append((dplan.tasks.get(task_id), db, kind, name, actual))
+        _keeps, pinned_ids, unpinned = self._pin_snapshots(state, snapshots)
+        if unpinned:
+            self.delegator.rollback(unpinned)
         return pinned_ids
 
     def _abandon_salvage(
@@ -1257,7 +1385,7 @@ class PlanPipeline:
         had_pins = bool(state.pending_keeps)
         state.pending_keeps = []
         if objects:
-            self._drop_objects(objects, skip_db=skip_db)
+            self.delegator.rollback(objects, skip_db=skip_db)
             tracer.add_event("salvage-abandoned", objects=len(objects))
         if had_pins and state.select is not None:
             try:
@@ -1268,31 +1396,17 @@ class PlanPipeline:
                         state.recovery.missing_partitions,
                     )
                     if plan is not None:
-                        estimator = CardinalityEstimator(
-                            self.catalog.scan_stats,
-                            feedback=FeedbackOverlay(self.feedback),
-                        )
-                        _annotate_all(plan, estimator)
+                        _annotate_all(plan, self._estimator())
                         state.logical_plan = plan
             except ReproError:
                 pass
 
-    def _drop_objects(
-        self,
-        objects: List[Tuple[str, str, str]],
-        skip_db: Optional[str] = None,
-    ) -> None:
-        """Best-effort DROPs, newest first; failures go to the reaper."""
-        for db, kind, name in reversed(list(objects)):
-            connector = self.connectors.get(db)
-            if connector is None or db == skip_db:
-                continue
-            try:
-                connector.execute_ddl(
-                    ast.DropObject(kind=kind, name=name, if_exists=True)
-                )
-            except ReproError:
-                pass
+    def _estimator(
+        self, overlay: Optional[FeedbackOverlay] = None
+    ) -> CardinalityEstimator:
+        if overlay is None:
+            overlay = FeedbackOverlay(self.feedback)
+        return CardinalityEstimator(self.catalog.scan_stats, feedback=overlay)
 
     def _holder_available(self, db: str) -> bool:
         connector = self.connectors.get(db)
@@ -1316,16 +1430,12 @@ class PlanPipeline:
         be None (annotation found no healthy holder at all) while
         ``table`` still names the shard.
         """
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
+        for node in _cause_chain(exc):
             if (
                 isinstance(node, EngineUnavailableError)
                 and node.table is not None
             ):
                 return node.db, node.table
-            node = node.__cause__ or node.__context__
         return None, None
 
     @staticmethod
@@ -1333,13 +1443,9 @@ class PlanPipeline:
         exc: BaseException,
     ) -> List[Tuple[int, str, str, str]]:
         """Salvaged snapshots riding on a delegation failure's chain."""
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
+        for node in _cause_chain(exc):
             if isinstance(node, DelegationError) and node.salvaged:
                 return list(node.salvaged)
-            node = node.__cause__ or node.__context__
         return []
 
     # -- shared helpers ----------------------------------------------------
@@ -1375,13 +1481,9 @@ class PlanPipeline:
         its chain (e.g. a transient fault that exhausted the retry
         budget) is not an outage — re-planning cannot help either way.
         """
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
+        for node in _cause_chain(exc):
             if isinstance(node, EngineUnavailableError):
                 return node.db
-            node = node.__cause__ or node.__context__
         return None
 
     @staticmethod
@@ -1402,16 +1504,13 @@ class PlanPipeline:
         if deployed is None:
             return
         before = list(deployed.created_objects)
-        try:
-            if ctx.deadline is not None:
-                with ctx.deadline.grace():
-                    deployed.cleanup()
-            else:
-                deployed.cleanup()
-        except ReproError:
-            # cleanup() already kept the undropped objects queued; the
-            # leak accounting below reads them off the deployment.
-            pass
+        # The discard keeps undropped objects queued on the deployment;
+        # the leak accounting below reads them off it.
+        if ctx.deadline is not None:
+            with ctx.deadline.grace():
+                PlanPipeline._discard(deployed, ctx.tracer)
+        else:
+            PlanPipeline._discard(deployed, ctx.tracer)
         remaining = list(deployed.created_objects)
         exc.rolled_back = list(exc.rolled_back) + [
             obj for obj in before if obj not in remaining
@@ -1425,6 +1524,16 @@ class PlanPipeline:
         )
 
 
+def _cause_chain(exc: BaseException) -> Iterator[BaseException]:
+    """``exc`` and its ``__cause__``/``__context__`` ancestors, once each."""
+    seen = set()
+    node: Optional[BaseException] = exc
+    while node is not None and id(node) not in seen:
+        seen.add(id(node))
+        yield node
+        node = node.__cause__ or node.__context__
+
+
 def _slots(deployment: Deployment) -> Optional[int]:
     """Per-engine task slots for the schedule simulator.
 
@@ -1434,6 +1543,25 @@ def _slots(deployment: Deployment) -> Optional[int]:
     """
     workers = deployment.parallel_workers
     return workers if workers > 1 else None
+
+
+def _engines(dplan: DelegationPlan) -> List[str]:
+    """The engines a delegation plan runs tasks on (admission set)."""
+    return sorted({task.annotation for task in dplan.tasks.values()})
+
+
+def _pinnable(producer) -> bool:
+    """Whether a producer's ``xm_`` snapshot can stand in for it.
+
+    A producer whose output needed the finalizer's dedup projection has
+    snapshot columns that no longer match its logical schema — leave it
+    to be recomputed.
+    """
+    src = producer.source_expr if producer is not None else None
+    if src is None:
+        return False
+    names = [f.name.lower() for f in src.schema]
+    return len(set(names)) == len(names)
 
 
 def _annotate_all(

@@ -79,11 +79,6 @@ def _parser_for(sql_type: SQLType):
     return parse
 
 
-def _parse(text: str, sql_type: SQLType) -> object:
-    """Parse one cell (one-off use; imports precompile via _parser_for)."""
-    return _parser_for(sql_type)(text)
-
-
 def save_table_csv(database: Database, table: str, path: PathLike) -> int:
     """Export a stored table to CSV (header row encodes name:type).
 

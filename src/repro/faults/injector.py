@@ -233,14 +233,3 @@ class FaultInjector:
                 raise TransientConnectorError(
                     f"injected transient error on {db!r} during {op}"
                 )
-
-
-def install_faults(deployment, policy: FaultPolicy) -> FaultInjector:
-    """Convenience: build an injector for ``policy`` and install it."""
-    return FaultInjector(policy).install(deployment)
-
-
-def clear_faults(deployment, injector: Optional[FaultInjector]) -> None:
-    """Uninstall ``injector`` (tolerates ``None`` for symmetric code)."""
-    if injector is not None:
-        injector.uninstall()

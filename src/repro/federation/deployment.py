@@ -346,6 +346,3 @@ class Deployment:
             database.trace.reset()
         for connector in self.connectors.values():
             connector.reset_counters()
-
-    def transfer_log(self):
-        return list(self.network.log)

@@ -110,9 +110,6 @@ class Network:
         self._site_links[(site_a, site_b)] = spec
         self._site_links[(site_b, site_a)] = spec
 
-    def set_default_link(self, spec: LinkSpec) -> None:
-        self._default_link = spec
-
     def link_for(self, src: str, dst: str) -> LinkSpec:
         if src == dst:
             return LOOPBACK
@@ -212,11 +209,6 @@ class Network:
 
     def is_partitioned(self, src: str, dst: str) -> bool:
         return src != dst and (src, dst) in self._partitioned
-
-    def clear_faults(self) -> None:
-        """Heal every partition and restore every degraded link."""
-        self._partitioned.clear()
-        self._degraded.clear()
 
     # -- accounting -------------------------------------------------------------
 

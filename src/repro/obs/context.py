@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.net.metrics import (
     ConnectorResilience,
@@ -273,14 +273,12 @@ class QueryContext:
         """The paper's phase currency: real CPU + simulated time."""
         return span.wall_seconds + span.sim_seconds
 
-    def control_seconds(
-        self, span: Span, tags: Tuple[str, ...] = CONTROL_TAGS
-    ) -> float:
+    def control_seconds(self, span: Span) -> float:
         """Simulated seconds of control messages in ``span``'s subtree."""
         return sum(
             record.seconds
             for record in span.subtree_records()
-            if record.tag in tags
+            if record.tag in CONTROL_TAGS
         )
 
     def backoff_in(self, span: Span) -> float:

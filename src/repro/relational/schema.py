@@ -94,9 +94,6 @@ class Schema:
             raise BindError(f"ambiguous column reference {display!r}")
         return matches[0]
 
-    def field_of(self, name: str, relation: Optional[str] = None) -> Field:
-        return self.fields[self.resolve(name, relation)]
-
     def relations(self) -> List[str]:
         """Distinct relation qualifiers present, in order of appearance."""
         seen: List[str] = []

@@ -13,7 +13,7 @@ import pytest
 from repro.core.client import XDB
 from repro.drift import ObjectLedger, apply_drift, schema_fingerprint
 from repro.drift.fingerprint import schema_diff
-from repro.errors import ReproError, SchemaDriftError
+from repro.errors import DelegationError, ReproError, SchemaDriftError
 from repro.faults import FaultInjector, FaultPolicy, SchemaDrift
 from repro.federation.deployment import Deployment
 from repro.qos import QoSPolicy
@@ -501,3 +501,131 @@ def test_prepared_query_degrades_to_snapshot_on_drift():
     assert report.qos.stale_reason == "drift"
     assert_same_rows(report.result.rows, baseline.result.rows)
     prepared.close()
+
+
+def test_prepared_drift_recovery_lands_on_the_span_tree():
+    """A drift the prepared handle trips over is absorbed like a
+    submission's: the same event and re-introspection step show up in
+    the execution's own trace."""
+    dep = build_small()
+    xdb = XDB(dep)
+    prepared = xdb.prepare(EVENTS_STAR)
+    prepared.execute()
+    apply_drift(
+        dep.database("B"),
+        SchemaDrift(
+            db="B", table="events", kind="rename_column",
+            column="kind", new_name="category",
+        ),
+    )
+    report = prepared.execute()
+    events = report.context.tracer.root.subtree_events("schema-drift")
+    assert events and events[0].attributes["table"] == "events"
+    names = {span.name for span in report.context.root.iter_spans()}
+    assert "reintrospect" in names
+    prepared.close()
+
+
+def test_failed_prepared_replan_keeps_the_old_cascade(monkeypatch):
+    """A replan whose re-delegation fails leaves the deployed cascade in
+    place, so a later staleness-bounded execution can still serve it."""
+    dep = build_small()
+    xdb = XDB(dep, movement_policy="explicit")
+    prepared = xdb.prepare(JOIN_QUERY)
+    baseline = prepared.execute()
+    deployed = prepared.deployed
+    assert deployed.materializations
+
+    # A column the prepared query never reads drifts away; a submission
+    # that does read it absorbs the drift and marks the handle stale.
+    apply_drift(
+        dep.database("A"),
+        SchemaDrift(db="A", table="users", kind="drop_column", column="score"),
+    )
+    xdb.submit("SELECT * FROM users WHERE id < 5")
+    assert prepared.stale_plan
+
+    def broken_delegate(*args, **kwargs):
+        raise DelegationError("injected re-delegation failure")
+
+    monkeypatch.setattr(xdb.delegator, "delegate", broken_delegate)
+    with pytest.raises(DelegationError):
+        prepared.execute()
+    assert prepared.deployed is deployed
+    assert prepared.stale_plan
+    for db, _kind, name in deployed.created_objects:
+        assert engine_holds(dep, db, name)
+
+    report = prepared.execute(qos=QoSPolicy(max_staleness_seconds=1e9))
+    assert report.qos.stale_read
+    assert report.qos.stale_reason == "drift"
+    assert_same_rows(report.result.rows, baseline.result.rows)
+
+    monkeypatch.undo()
+    replanned = prepared.execute()
+    assert not prepared.stale_plan
+    assert prepared.deployed is not deployed
+    assert_same_rows(replanned.result.rows, baseline.result.rows)
+    prepared.close()
+
+
+# -- a spent budget surfaces the typed drift error -----------------------
+
+
+def _rename_kind(**schedule) -> SchemaDrift:
+    return SchemaDrift(
+        db="B", table="events", kind="rename_column",
+        column="kind", new_name="category", **schedule,
+    )
+
+
+def _drift_in_delegated_ddl(dep, xdb):
+    """The delegated view's DDL binds against the drifted table."""
+    xdb.submit(EVENTS_STAR)
+    apply_drift(dep.database("B"), _rename_kind())
+    xdb.submit(EVENTS_STAR)
+
+
+def _drift_in_root_query(dep, xdb):
+    """The drift lands after delegation, under the root XDB query."""
+    xdb.warm_metadata()
+    counting = FaultInjector(FaultPolicy()).install(dep)
+    try:
+        probe = xdb.submit(EVENTS_STAR, cleanup=False)
+    finally:
+        counting.uninstall()
+    assert probe.deployed.root_db == "B"
+    # The root query is the last guarded call on B.
+    strike = counting.calls_by_db["B"] - 1
+    injector = FaultInjector(
+        FaultPolicy(drifts=(_rename_kind(after_calls=strike),))
+    ).install(dep)
+    try:
+        xdb.submit(EVENTS_STAR)
+    finally:
+        injector.uninstall()
+
+
+def _drift_under_prepared_query(dep, xdb):
+    prepared = xdb.prepare(EVENTS_STAR)
+    try:
+        prepared.execute()
+        apply_drift(dep.database("B"), _rename_kind())
+        prepared.execute()
+    finally:
+        prepared.close()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_drift_in_delegated_ddl, _drift_in_root_query, _drift_under_prepared_query],
+    ids=["ddl", "root-query", "prepared"],
+)
+def test_spent_budget_raises_typed_drift_error(run):
+    dep = build_small()
+    xdb = XDB(dep, repair_budget=0)
+    with pytest.raises(SchemaDriftError) as err:
+        run(dep, xdb)
+    assert (err.value.db, err.value.table) == ("B", "events")
+    # Chained to the failure the drift explains.
+    assert err.value.__cause__ is not None

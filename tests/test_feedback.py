@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.core.client import XDB
+from repro.core.pipeline import PlanPipeline
 from repro.feedback import qerror
 from repro.feedback.fingerprint import (
     base_tables,
@@ -81,12 +82,12 @@ def test_fingerprint_is_join_order_insensitive(two_db_deployment):
     xdb = XDB(two_db_deployment)
     xdb.warm_metadata()
     plan_ab = xdb.pipeline.optimizer.optimize(
-        xdb._parse(
+        PlanPipeline.parse(
             "SELECT u.id FROM users u, events e WHERE u.id = e.user_id"
         )
     )
     plan_ba = xdb.pipeline.optimizer.optimize(
-        xdb._parse(
+        PlanPipeline.parse(
             "SELECT u.id FROM events e, users u WHERE e.user_id = u.id"
         )
     )
@@ -103,7 +104,7 @@ def test_scan_fingerprint_and_table_key_casefold():
 def test_base_tables_of_optimized_plan(two_db_deployment):
     xdb = XDB(two_db_deployment)
     xdb.warm_metadata()
-    plan = xdb.pipeline.optimizer.optimize(xdb._parse(JOIN_QUERY))
+    plan = xdb.pipeline.optimizer.optimize(PlanPipeline.parse(JOIN_QUERY))
     assert set(base_tables(plan)) == {"a.users", "b.events"}
 
 

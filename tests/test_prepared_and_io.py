@@ -1,5 +1,8 @@
 """Prepared-query API and CSV import/export tests."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.client import XDB
@@ -103,6 +106,45 @@ def test_prepared_query_close_drops_objects_and_blocks_reuse():
     with pytest.raises(OptimizerError):
         prepared.execute()
     prepared.close()  # idempotent
+
+
+def test_prepared_query_shared_across_threads():
+    """Executions of one handle share its kept state: concurrent callers
+    run one at a time, each call counts once, and every admission token
+    comes back to the gate."""
+    dep = build_sales_deployment()
+    xdb = XDB(dep)
+    workers, runs = 4, 3
+    errors = []
+    with xdb.prepare(SALES_SQL) as prepared:
+        expected = sorted(prepared.execute().result.rows)
+
+        def worker():
+            try:
+                for _ in range(runs):
+                    rows = sorted(prepared.execute().result.rows)
+                    if rows != expected:
+                        errors.append(rows)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker) for _ in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert prepared.executions == 1 + workers * runs
+        gate = dep.workload_gate.snapshot()
+        assert all(engine["active"] == 0 for engine in gate.values())
 
 
 # -- CSV I/O --------------------------------------------------------------------

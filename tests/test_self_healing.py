@@ -12,6 +12,7 @@ import pytest
 
 from repro.connect.connector import RetryPolicy
 from repro.core.client import XDB
+from repro.core.pipeline import PlanPipeline
 from repro.errors import (
     CircuitOpenError,
     EngineUnavailableError,
@@ -407,6 +408,40 @@ def test_exec_outage_repairs_onto_replica():
     assert "recovery:" in report.describe()
 
 
+def test_outage_repair_reports_and_reaps_a_failed_drop():
+    """The failed cascade's DROP on the dead engine fails during outage
+    repair: the trace says so, the ledger keeps the object as leaked,
+    and the reaper collects it once the engine is back."""
+    strike, truth = exec_strike_point(
+        lambda: build_small(replicate=True), "A", EVENTS_QUERY,
+        skip_exec_calls=1,
+    )
+    dep = build_small(replicate=True)
+    dep.configure_health(BreakerConfig(cooldown_seconds=1e9))
+    xdb = XDB(dep)
+    xdb.warm_metadata()
+    injector = FaultInjector(
+        FaultPolicy(outages=(EngineOutage(db="A", after_calls=strike),))
+    ).install(dep)
+    try:
+        report = xdb.submit(EVENTS_QUERY)
+    finally:
+        injector.uninstall()
+    assert_same_rows(report.result.rows, truth)
+    assert report.recovery.repaired
+    events = report.context.tracer.root.subtree_events("cleanup-failed")
+    assert events
+    assert all(event.attributes["db"] == "A" for event in events)
+    assert events[0].attributes["error"] == "CircuitOpenError"
+    assert report.resilience.leaked_objects > 0
+
+    leaked = {("A", event.attributes["object"]) for event in events}
+    dep.health.record_success("A")
+    reap = xdb.reap()
+    assert leaked <= {(db, name) for db, _kind, name in reap.dropped}
+    assert xdb.ledger.leaked_count() == 0
+
+
 def test_zero_repair_budget_propagates_the_outage():
     strike, _ = exec_strike_point(
         lambda: build_small(replicate=True), "A", EVENTS_QUERY,
@@ -423,7 +458,7 @@ def test_zero_repair_budget_propagates_the_outage():
             xdb.submit(EVENTS_QUERY)
     finally:
         injector.uninstall()
-    assert XDB._unavailable_db(err.value) == "A"
+    assert PlanPipeline.unavailable_db(err.value) == "A"
 
 
 def test_unreplicated_holder_outage_is_unrepairable():
