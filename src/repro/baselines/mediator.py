@@ -31,7 +31,8 @@ from repro.engine.fdw import PROTOCOL_CPU_FACTORS, PROTOCOL_FACTORS
 from repro.engine.result import Result
 from repro.errors import OptimizerError
 from repro.federation.deployment import Deployment
-from repro.net.metrics import TransferSummary, summarize
+from repro.net.metrics import TransferSummary
+from repro.obs.context import QueryContext
 from repro.relational import algebra
 from repro.relational.decompile import plan_to_select
 from repro.sql import ast
@@ -55,13 +56,33 @@ class BaselineReport:
     transfers: Optional[TransferSummary] = None
     subquery_count: int = 0
     details: Dict[str, float] = field(default_factory=dict)
+    #: the run's observation context (transfers, spans, metrics)
+    context: Optional[QueryContext] = None
 
     @property
     def execution_seconds(self) -> float:
         return self.total_seconds
 
 
-class MediatorSystem:
+class BaselineSystem:
+    """A baseline run under its own :class:`QueryContext`, as XDB runs a
+    submission: the report's transfers are a view over that context."""
+
+    name = "baseline"
+
+    def run(self, query: str) -> BaselineReport:
+        """Execute ``query`` and report metrics."""
+        with QueryContext(label=self.name) as ctx:
+            report = self._execute(query)
+        report.transfers = ctx.transfer_summary()
+        report.context = ctx
+        return report
+
+    def _execute(self, query: str) -> BaselineReport:
+        raise NotImplementedError
+
+
+class MediatorSystem(BaselineSystem):
     """Base class for the MW baselines."""
 
     #: subclasses: system name for reports
@@ -135,12 +156,9 @@ class MediatorSystem:
 
     # -- run --------------------------------------------------------------------
 
-    def run(self, query: str) -> BaselineReport:
-        """Execute ``query`` through the mediator and report metrics."""
+    def _execute(self, query: str) -> BaselineReport:
+        """Execute ``query`` through the mediator."""
         network = self.deployment.network
-        ledger = network.log
-        mark = len(ledger)
-
         select = parse_statement(query)
         if not isinstance(select, ast.QUERY_STATEMENTS):
             raise OptimizerError("baselines accept SELECT queries only")
@@ -256,7 +274,6 @@ class MediatorSystem:
             total_seconds=total,
             processing_seconds=processing_seconds,
             transfer_seconds=transfer_seconds,
-            transfers=summarize(ledger[mark:]),
             subquery_count=subqueries,
             details={
                 "fetch_phase": fetch_phase,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baselines.mediator import BaselineReport
+from repro.baselines.mediator import BaselineReport, BaselineSystem
 from repro.connect.connector import DBMSConnector
 from repro.core.annotate import Annotation
 from repro.core.catalog import GlobalCatalog
@@ -22,14 +22,13 @@ from repro.core.plan import Movement
 from repro.engine.cost import CardinalityEstimator, CostModel
 from repro.errors import OptimizerError
 from repro.federation.deployment import Deployment
-from repro.net.metrics import summarize
 from repro.relational import algebra
 from repro.relational.decompile import plan_to_select
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 
 
-class ScleraSystem:
+class ScleraSystem(BaselineSystem):
     """Naive in-situ execution with mediator-relayed explicit movement."""
 
     name = "Sclera"
@@ -85,11 +84,8 @@ class ScleraSystem:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, query: str) -> BaselineReport:
+    def _execute(self, query: str) -> BaselineReport:
         network = self.deployment.network
-        ledger = network.log
-        mark = len(ledger)
-
         select = parse_statement(query)
         if not isinstance(select, ast.QUERY_STATEMENTS):
             raise OptimizerError("Sclera accepts SELECT queries only")
@@ -164,7 +160,6 @@ class ScleraSystem:
             total_seconds=total_seconds,
             processing_seconds=processing_seconds,
             transfer_seconds=transfer_seconds,
-            transfers=summarize(ledger[mark:]),
             subquery_count=dplan.task_count(),
         )
 

@@ -1,11 +1,11 @@
 """Runners: execute one query on one system and normalize the metrics.
 
-Every run executes under a :class:`~repro.obs.context.QueryContext`
-(XDB creates its own; baselines are wrapped here), so each
-:class:`RunRecord` isolates exactly one query execution — runtime,
+Every run executes under its own :class:`~repro.obs.context.QueryContext`
+(XDB and each baseline create one and return it on their report), so
+each :class:`RunRecord` isolates exactly one query execution — runtime,
 data-transfer decomposition (intra-federation vs. to-the-cloud), and
 plan statistics where applicable — from the transfers *attributed to
-that context*, never from ledger index marks.
+that context*.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.engine.result import Result
 from repro.errors import ReproError
 from repro.federation.deployment import Deployment
 from repro.net.metrics import site_breakdown
-from repro.obs.context import QueryContext
 
 #: default calibrated engine-profile overlay, emitted by
 #: ``python -m repro.calibrate`` (repo-relative)
@@ -157,10 +156,8 @@ def _run_baseline(
     query_name: str,
     keep_result: bool,
 ) -> RunRecord:
-    # Baselines have no context of their own: wrap the run so their
-    # transfers are attributed to (and sliced from) a fresh one.
-    with QueryContext(label=f"{query_name}:{type(system).__name__}") as ctx:
-        report = system.run(query)
+    report = system.run(query)
+    ctx = report.context
     total, to_cloud, cross_site = site_breakdown(
         ctx.transfers, deployment.network
     )
@@ -175,9 +172,7 @@ def _run_baseline(
         bytes_cross_site=cross_site,
         rows_returned=len(report.result),
         result=report.result if keep_result else None,
-        extra=dict(report.details)
-        if hasattr(report, "details")
-        else {},
+        extra=dict(report.details),
         trace_summary=ctx.trace_summary(),
     )
 
@@ -255,7 +250,7 @@ class SystemSet:
 def build_systems(
     deployment: Deployment,
     presto_workers: int = 4,
-    calibrated: Optional[bool] = None,
+    calibrated: bool = False,
 ) -> SystemSet:
     """Construct and warm all four systems over ``deployment``.
 
@@ -267,13 +262,10 @@ def build_systems(
     overlay collapses the emulated mediator baselines and inverts the
     micro-scale comparisons (see EXPERIMENTS.md, "Calibrated
     profiles").  Opt in to the calibrated overlay with
-    ``calibrated=True``, the ``--calibrated`` flag of
-    ``repro.bench.run``, or the ``XDB_CALIBRATED`` environment
-    variable; the overlay itself is resolved by
+    ``calibrated=True`` or the ``--calibrated`` flag of
+    ``repro.bench.run``; the overlay itself is resolved by
     :func:`apply_calibrated_profiles`.
     """
-    if calibrated is None:
-        calibrated = bool(os.environ.get("XDB_CALIBRATED"))
     if calibrated:
         apply_calibrated_profiles()
     xdb = XDB(deployment)
@@ -285,7 +277,6 @@ def build_systems(
     garlic.catalog.refresh()
     presto.catalog.refresh()
     sclera.catalog.refresh()
-    deployment.reset_metrics()
     return SystemSet(deployment, xdb, garlic, presto, sclera)
 
 

@@ -152,7 +152,7 @@ def observe_query(
         seconds = _span_self_seconds(span)
         if kind == "ForeignScan" and foreign_count:
             # The fetch constant models production + wire transfer; the
-            # simulated network seconds live on the context's ledger.
+            # simulated network seconds live on the context's transfers.
             seconds += fdw_seconds / foreign_count
         observations.append(
             Observation(

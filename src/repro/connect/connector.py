@@ -58,9 +58,9 @@ class RetryPolicy:
     capped at ``max_backoff_seconds``, then jittered ±``jitter_ratio``
     from the connector's seeded RNG so concurrent callers hitting the
     same degraded link do not back off in lockstep (no thundering herd
-    on retry) — and accrues in *simulated* seconds (the connector's
-    ``backoff_seconds`` counter), so phase breakdowns price retries
-    without real sleeps.  The jitter RNG is seeded per connector name,
+    on retry) — and accrues in *simulated* seconds (the query
+    context's ``connector.backoff_seconds`` metric), so phase
+    breakdowns price retries without real sleeps.  The jitter RNG is seeded per connector name,
     so two identically-seeded runs accrue identical backoff.
     ``call_timeout_seconds`` is the per-call budget: a control round
     trip whose simulated time would exceed it raises
@@ -128,20 +128,11 @@ class DBMSConnector:
         self.health: Optional[HealthRegistry] = None
         #: per-connector seeded RNG for deterministic backoff jitter
         self._backoff_rng = random.Random(f"backoff:{database.name}")
-        #: EXPLAIN consulting round-trips (paper's ann-phase metric)
-        self.consultations = 0
-        #: delegation / metadata control messages
-        self.control_messages = 0
-        #: retried attempts (after a retryable failure)
+        #: lifetime retried attempts and retryable failures; every
+        #: other connector count lives only in the query context's
+        #: ``connector.*`` metrics (``e2ebench`` reads these two)
         self.retries = 0
-        #: retryable failures observed (injected or environmental)
         self.failures = 0
-        #: calls abandoned after exhausting ``retry_policy.max_attempts``
-        self.giveups = 0
-        #: calls rejected instantly by an open circuit breaker
-        self.breaker_fastfails = 0
-        #: simulated seconds spent backing off between attempts
-        self.backoff_seconds = 0.0
 
     @property
     def name(self) -> str:
@@ -155,19 +146,8 @@ class DBMSConnector:
     def profile(self):
         return self.database.profile
 
-    def reset_counters(self) -> None:
-        self.consultations = 0
-        self.control_messages = 0
-        self.retries = 0
-        self.failures = 0
-        self.giveups = 0
-        self.breaker_fastfails = 0
-        self.backoff_seconds = 0.0
-
     def _bump(self, counter: str, value: float = 1.0) -> None:
-        """Increment a lifetime instance counter and mirror it into the
-        active query's context-scoped metrics (if one is active)."""
-        setattr(self, counter, getattr(self, counter) + value)
+        """Count ``counter`` in the active query's context metrics."""
         ctx = current_context()
         if ctx is not None:
             ctx.metrics.inc(f"connector.{counter}", value, db=self.name)
@@ -207,7 +187,7 @@ class DBMSConnector:
         injector sees it — the federation already knows the engine is
         down.  Otherwise the loop retries :data:`RETRYABLE_ERRORS` up
         to ``retry_policy.max_attempts`` total attempts, accruing
-        jittered exponential backoff into ``backoff_seconds``
+        jittered exponential backoff into the query context
         (simulated time — no real sleeping).  Non-retryable errors,
         e.g. an engine outage, propagate immediately so callers can
         re-plan; every call outcome is reported to the health registry
@@ -248,6 +228,7 @@ class DBMSConnector:
                     self._check_timeout(op, deadline=deadline, phase=phase)
                     result = fn()
                 except RETRYABLE_ERRORS:
+                    self.failures += 1
                     self._bump("failures")
                     if attempt >= policy.max_attempts:
                         self._bump("giveups")
@@ -264,6 +245,7 @@ class DBMSConnector:
                             )
                             probe = False
                         raise
+                    self.retries += 1
                     self._bump("retries")
                     rng = (
                         ctx.backoff_rng(self.name)
@@ -271,7 +253,6 @@ class DBMSConnector:
                         else self._backoff_rng
                     )
                     backoff = policy.backoff_for(attempt, rng=rng)
-                    self.backoff_seconds += backoff
                     if ctx is not None:
                         ctx.add_backoff(self.name, backoff)
                         ctx.tracer.add_event(
@@ -587,7 +568,7 @@ class DBMSConnector:
         Failure accounting: the transfer is recorded only after the
         remote execution succeeds (same ordering as :meth:`fetch` and
         :meth:`push_rows`) — a failed call must not inflate the
-        ledger with bytes that never moved.
+        query's transfers with bytes that never moved.
         """
 
         def call() -> Result:

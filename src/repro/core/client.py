@@ -20,9 +20,9 @@ QueryContext`: the phase breakdown, transfer summary, resilience
 counters, and recovery report are all *views* over its span tree and
 context-scoped metrics — phase times combine real middleware CPU
 (span wall time) with the simulated network and retry-backoff seconds
-attributed to the phase's subtree (span sim time).  Nothing is read
-from global counters or ledger index marks, so concurrent or repeated
-submissions cannot leak observations into each other.
+attributed to the phase's subtree (span sim time).  The context is the
+only record of them, so concurrent or repeated submissions cannot
+leak observations into each other.
 """
 
 from __future__ import annotations
@@ -293,7 +293,6 @@ class XDB:
         self,
         query: Union[str, ast.Select],
         cleanup: bool = True,
-        refresh_metadata: bool = False,
         qos: Optional[QoSPolicy] = None,
     ) -> XDBReport:
         """Run a cross-database query end to end and report everything.
@@ -325,9 +324,7 @@ class XDB:
         except ReproError:
             pass
         state = self.pipeline.new_state(query, budget=self.repair_budget)
-        return self._run(
-            state, qos, cleanup=cleanup, refresh_metadata=refresh_metadata
-        )
+        return self._run(state, qos, cleanup=cleanup)
 
     def reap(self, dbs: Optional[List[str]] = None) -> ReapReport:
         """Reconcile engine-held delegated objects against the ledger.
@@ -348,7 +345,6 @@ class XDB:
         self,
         query: Union[str, ast.Select],
         cleanup: bool = True,
-        refresh_metadata: bool = False,
     ) -> str:
         """Run the query and render its observed span tree.
 
@@ -359,10 +355,7 @@ class XDB:
         table — estimated vs actual rows, worst miss flagged as the
         planning locus with its routed rewrite hypothesis.
         """
-        report = self.submit(
-            query, cleanup=cleanup, refresh_metadata=refresh_metadata
-        )
-        return report.explain_analyze()
+        return self.submit(query, cleanup=cleanup).explain_analyze()
 
     def plan_query(
         self, query: Union[str, ast.Select]
@@ -408,7 +401,6 @@ class XDB:
         state: PlanState,
         qos: Optional[QoSPolicy],
         cleanup: bool = True,
-        refresh_metadata: bool = False,
     ) -> XDBReport:
         """Drive ``state`` through the pipeline under a fresh context.
 
@@ -419,9 +411,7 @@ class XDB:
         with ctx:
             phase_spans = None
             if not state.kept:
-                phase_spans = self.pipeline.plan(
-                    state, ctx, refresh_metadata=refresh_metadata
-                )
+                phase_spans = self.pipeline.plan(state, ctx)
             self.pipeline.execute(state, ctx, cleanup=cleanup, qos=qos)
             return self._report(state, ctx, qos, phase_spans)
 

@@ -34,7 +34,7 @@ class PlanFinalizer:
         self, plan: algebra.LogicalPlan, annotation: Annotation
     ) -> DelegationPlan:
         dplan = DelegationPlan()
-        root_task = self._make_task(plan, annotation, dplan)
+        root_task, _ = self._make_task(plan, annotation, dplan)
         dplan.set_root(root_task)
         return dplan
 
@@ -45,16 +45,20 @@ class PlanFinalizer:
         root: algebra.LogicalPlan,
         annotation: Annotation,
         dplan: DelegationPlan,
-    ) -> Task:
+    ) -> Tuple[Task, RenameMap]:
+        """Build the task rooted at ``root``; also return the renames its
+        output still carries (a normalization below an operator that
+        does not rename its outputs itself), which its consumer must
+        apply to references into it."""
         db = annotation.db_of(root)
         deps: List[Tuple[Task, Movement, str]] = []
-        expr, _ = self._rebuild(root, db, annotation, dplan, deps)
+        expr, renames = self._rebuild(root, db, annotation, dplan, deps)
         task = dplan.new_task(
             db, expr, root.estimated_rows or 0.0, source_expr=root
         )
         for child_task, movement, placeholder in deps:
             dplan.add_edge(child_task, task, movement, placeholder)
-        return task
+        return task, renames
 
     def _rebuild(
         self,
@@ -101,8 +105,10 @@ class PlanFinalizer:
         dplan: DelegationPlan,
         deps: List[Tuple[Task, Movement, str]],
     ) -> Tuple[algebra.Scan, RenameMap]:
-        """Cut ``child`` into its own task and return its placeholder."""
-        child_task = self._make_task(child, annotation, dplan)
+        """Cut ``child`` into its own task and return its placeholder,
+        with the renames the consumer must apply: those the child task's
+        output carries, composed with this cut's own normalization."""
+        child_task, inner = self._make_task(child, annotation, dplan)
 
         renames: RenameMap = {}
         schema = child_task.expr.schema
@@ -124,6 +130,10 @@ class PlanFinalizer:
                     )
                     renames[(relation, field.name.lower())] = new_name
             schema = child_task.expr.schema
+        for (relation, old), new in inner.items():
+            renames.setdefault(
+                (relation, old), renames.get((relation, new.lower()), new)
+            )
 
         binding = f"xin_{child_task.task_id}"
         placeholder = algebra.Scan(

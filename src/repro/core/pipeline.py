@@ -459,12 +459,7 @@ class PlanPipeline:
 
     # -- planning ----------------------------------------------------------
 
-    def plan(
-        self,
-        state: PlanState,
-        ctx: Optional[QueryContext] = None,
-        refresh_metadata: bool = False,
-    ):
+    def plan(self, state: PlanState, ctx: Optional[QueryContext] = None):
         """Run the planning stages, traced under ``ctx`` when given.
 
         Returns the (prep, lopt, ann) phase spans for the report's
@@ -484,7 +479,7 @@ class PlanPipeline:
                     state.select = self.parse(state.query)
                 state.stage = "catalog"
             if _stage_index(state.stage) <= _stage_index("catalog"):
-                if refresh_metadata or not self.metadata_fresh:
+                if not self.metadata_fresh:
                     with self._step(tracer, "catalog-refresh"):
                         self.catalog.refresh()
                     self.metadata_fresh = True

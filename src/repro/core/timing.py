@@ -192,14 +192,14 @@ def _task_processing_seconds(
     database = connector.database
     profile = database.profile
 
-    edge_rows = {
+    moved_rows = {
         edge.placeholder: float(edge.moved_rows or 0)
         for edge in dplan.in_edges(task)
     }
 
     def stats_provider(scan: algebra.Scan) -> ScanStats:
         if scan.placeholder:
-            rows = edge_rows.get(scan.binding)
+            rows = moved_rows.get(scan.binding)
             if rows is None:
                 rows = scan.estimated_rows or 1.0
             return ScanStats(row_count=max(rows, 1.0), columns={})

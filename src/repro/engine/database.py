@@ -9,7 +9,6 @@ reads results or EXPLAIN estimates back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.engine.catalog import BaseTable, Catalog, ForeignTable, View
@@ -27,24 +26,6 @@ from repro.sql import ast
 from repro.sql.dialects import dialect_for
 from repro.sql.parser import parse_statement
 from repro.sql.render import Renderer
-
-
-@dataclass
-class ExecutionTrace:
-    """Bookkeeping for the most recent statements (tests & simulator)."""
-
-    statements: int = 0
-    rows_processed: int = 0
-    rows_returned: int = 0
-    last_plan_text: str = ""
-    statement_log: List[str] = field(default_factory=list)
-
-    def reset(self) -> None:
-        self.statements = 0
-        self.rows_processed = 0
-        self.rows_returned = 0
-        self.last_plan_text = ""
-        self.statement_log.clear()
 
 
 class Database:
@@ -82,7 +63,6 @@ class Database:
         self.dialect: Renderer = dialect_for(self.profile.dialect)
         self.planner = LocalPlanner(self)
         self.cost_model = CostModel(self.profile)
-        self.trace = ExecutionTrace()
         #: when True, physical plans are wrapped with per-operator
         #: timers (see :mod:`repro.engine.instrument`) and the operator
         #: spans mirrored into the observability context carry measured
@@ -128,8 +108,6 @@ class Database:
 
     def execute(self, sql: str) -> Result:
         """Parse and execute one SQL statement (query or DDL)."""
-        self.trace.statements += 1
-        self.trace.statement_log.append(sql)
         ctx = current_context()
         if ctx is not None:
             ctx.tracer.add_event("sql", db=self.name, sql=sql)
@@ -182,9 +160,6 @@ class Database:
                 rows.extend(batch.rows())
         else:
             rows = list(physical_plan.rows())
-        self.trace.rows_processed += physical_plan.total_rows_processed()
-        self.trace.rows_returned += len(rows)
-        self.trace.last_plan_text = physical_plan.pretty()
         ctx = current_context()
         if ctx is not None:
             ctx.record_operator_tree(physical_plan, db=self.name)

@@ -259,8 +259,8 @@ class Deployment:
         """Copy an existing table to another DBMS as a replica.
 
         ``from_db`` defaults to the (single) current holder.  The copy
-        happens out-of-band (operator-managed replication), so it does
-        not touch the network ledger or connector counters.
+        happens out-of-band (operator-managed replication), so it moves
+        no bytes on the simulated network.
         """
         if from_db is None:
             holders = [
@@ -299,7 +299,7 @@ class Deployment:
         original table is dropped from every holder: only the shards
         remain, and the logical name lives on solely in the partition
         spec the global catalog resolves.  Like replication, the split
-        is an out-of-band operator action — no ledger traffic.
+        is an out-of-band operator action — no network traffic.
         """
         by_db = list(by_db)
         spec = PartitionSpec(
@@ -336,13 +336,3 @@ class Deployment:
             self.database(holder).catalog.drop(table)
         self.partition_specs[spec.table] = spec
         return spec
-
-    # -- metrics ------------------------------------------------------------------------
-
-    def reset_metrics(self) -> None:
-        """Clear the network ledger, traces, and connector counters."""
-        self.network.reset_log()
-        for database in self.databases.values():
-            database.trace.reset()
-        for connector in self.connectors.values():
-            connector.reset_counters()

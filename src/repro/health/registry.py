@@ -224,7 +224,9 @@ class HealthRegistry:
         self.config = config or BreakerConfig()
         self.clock = clock or SimulatedClock()
         self.breakers: Dict[str, CircuitBreaker] = {}
-        #: every state transition, in order (sliced by report windows)
+        #: every state transition, in order — kept here because breakers
+        #: also transition outside any query (a cool-down elapsing);
+        #: transitions during a query are attributed to its context too
         self.events: List[BreakerEvent] = []
         #: shard-scoped outage observations keyed ``(db, table)`` — the
         #: engine stayed healthy, one relation on it did not, so these

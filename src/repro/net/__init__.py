@@ -1,12 +1,13 @@
 """Simulated network: nodes, links, and transfer accounting.
 
 The network never moves real bytes — engines run in-process — but every
-inter-DBMS fetch and every control message is recorded here, which is
-what the paper's data-transfer experiments (Fig. 1 shading, Fig. 14)
-measure, and what the schedule simulator uses to derive transfer times.
-Links can be transiently degraded or partitioned (fault injection);
-``metrics`` aggregates both the transfer ledger and the connectors'
-resilience counters.
+inter-DBMS fetch and every control message is priced here and
+attributed to the active query's context, which is what the paper's
+data-transfer experiments (Fig. 1 shading, Fig. 14) measure, and what
+the schedule simulator uses to derive transfer times.  The network
+itself keeps no history.  Links can be transiently degraded or
+partitioned (fault injection); ``metrics`` aggregates one query's
+transfers and connector resilience counters.
 """
 
 from repro.net.network import LinkSpec, Network, TransferRecord
@@ -15,7 +16,6 @@ from repro.net.metrics import (
     ResilienceSummary,
     TransferSummary,
     summarize,
-    summarize_resilience,
 )
 
 __all__ = [
@@ -26,5 +26,4 @@ __all__ = [
     "TransferRecord",
     "TransferSummary",
     "summarize",
-    "summarize_resilience",
 ]

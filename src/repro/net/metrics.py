@@ -1,17 +1,17 @@
-"""Aggregations over the network transfer ledger and the connectors'
+"""Aggregations over a query's attributed transfers and its connector
 resilience counters (retries, failures, give-ups, backoff)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.net.network import Network, TransferRecord
 
 
 @dataclass
 class TransferSummary:
-    """Aggregate view over a slice of the transfer log."""
+    """Aggregate view over a query's attributed transfers."""
 
     total_bytes: int = 0
     total_rows: int = 0
@@ -31,21 +31,10 @@ class TransferSummary:
         )
 
 
-def summarize(
-    records: Iterable[TransferRecord],
-    network: Optional[Network] = None,
-    cross_site_only: bool = False,
-) -> TransferSummary:
-    """Aggregate ``records``; optionally keep only WAN-crossing traffic."""
+def summarize(records: Iterable[TransferRecord]) -> TransferSummary:
+    """Aggregate ``records`` by tag and by (src, dst) edge."""
     summary = TransferSummary()
     for record in records:
-        if cross_site_only:
-            if network is None:
-                raise ValueError(
-                    "cross_site_only summaries need the network topology"
-                )
-            if not network.is_cross_site(record.src, record.dst):
-                continue
         summary.total_bytes += record.payload_bytes
         summary.total_rows += record.rows
         summary.transfer_count += 1
@@ -70,7 +59,7 @@ def site_breakdown(
     (mediator/middleware ingress); ``cross_site`` counts all bytes on
     links crossing site boundaries (WAN traffic).  The records are the
     query's *attributed* transfers (a :class:`~repro.obs.context.
-    QueryContext` stream), not a ledger index slice.
+    QueryContext` stream).
     """
     total = 0
     to_cloud = 0
@@ -91,7 +80,7 @@ def site_breakdown(
 
 @dataclass(frozen=True)
 class ConnectorResilience:
-    """One connector's retry/failure counters (a snapshot or a delta)."""
+    """One connector's retry/failure counters within one query."""
 
     retries: int = 0
     failures: int = 0
@@ -100,19 +89,10 @@ class ConnectorResilience:
     #: calls rejected up-front by an open circuit breaker
     fastfails: int = 0
 
-    def __sub__(self, other: "ConnectorResilience") -> "ConnectorResilience":
-        return ConnectorResilience(
-            retries=self.retries - other.retries,
-            failures=self.failures - other.failures,
-            giveups=self.giveups - other.giveups,
-            backoff_seconds=self.backoff_seconds - other.backoff_seconds,
-            fastfails=self.fastfails - other.fastfails,
-        )
-
 
 @dataclass
 class ResilienceSummary:
-    """Per-connector and aggregate resilience counters for one window."""
+    """Per-connector and aggregate resilience counters for one query."""
 
     by_connector: Dict[str, ConnectorResilience] = field(default_factory=dict)
     #: outstanding leaked DDL objects in the client's ledger at report
@@ -141,7 +121,7 @@ class ResilienceSummary:
 
     @property
     def degraded(self) -> bool:
-        """Whether any fault was absorbed (or not) during the window."""
+        """Whether any fault was absorbed (or not) during the query."""
         return self.failures > 0 or self.fastfails > 0
 
     def describe(self) -> str:
@@ -167,44 +147,3 @@ class ResilienceSummary:
             )
             parts.append(f"({per})")
         return " ".join(parts)
-
-
-def snapshot_resilience(
-    connectors: Mapping[str, "object"],
-) -> Dict[str, ConnectorResilience]:
-    """Capture every connector's current counters (for later deltas)."""
-    return {
-        name: ConnectorResilience(
-            retries=connector.retries,
-            failures=connector.failures,
-            giveups=connector.giveups,
-            backoff_seconds=connector.backoff_seconds,
-            fastfails=getattr(connector, "breaker_fastfails", 0),
-        )
-        for name, connector in connectors.items()
-    }
-
-
-def summarize_resilience(
-    connectors: Mapping[str, "object"],
-    baseline: Optional[Dict[str, ConnectorResilience]] = None,
-) -> ResilienceSummary:
-    """Aggregate counters, optionally as a delta against ``baseline``."""
-    current = snapshot_resilience(connectors)
-    if baseline:
-        current = {
-            name: counters - baseline[name]
-            if name in baseline
-            else counters
-            for name, counters in current.items()
-        }
-    return ResilienceSummary(by_connector=current)
-
-
-def edge_rows(records: Iterable[TransferRecord]) -> Dict[Tuple[str, str], int]:
-    """Rows moved per (src, dst) edge — feeds Table IV style analyses."""
-    rows: Dict[Tuple[str, str], int] = {}
-    for record in records:
-        edge = (record.src, record.dst)
-        rows[edge] = rows.get(edge, 0) + record.rows
-    return rows

@@ -14,7 +14,7 @@ the paper's environments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import NetworkError, NetworkPartitionedError
 from repro.obs.runtime import current_context
@@ -71,7 +71,12 @@ class _Node:
 
 
 class Network:
-    """Topology plus the transfer ledger."""
+    """Topology, link state, and per-transfer pricing.
+
+    The network keeps no record of past transfers: each one is
+    attributed to the active :class:`~repro.obs.context.QueryContext`,
+    the only record of what a query moved.
+    """
 
     def __init__(self, name: str = "net"):
         self.name = name
@@ -85,7 +90,6 @@ class Network:
         #: (src, dst) -> (latency multiplier, bandwidth multiplier)
         self._degraded: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._default_link = LAN
-        self.log: List[TransferRecord] = []
 
     # -- topology ------------------------------------------------------------
 
@@ -243,7 +247,6 @@ class Network:
             protocol=protocol,
             seconds=seconds,
         )
-        self.log.append(record)
         # Attribute the transfer to the active query's observation
         # context (span + simulated clock + metrics), if any.
         ctx = current_context()
@@ -261,41 +264,6 @@ class Network:
 
     def transfer_time(self, src: str, dst: str, payload_bytes: int) -> float:
         return self.link_for(src, dst).transfer_time(payload_bytes)
-
-    def reset_log(self) -> None:
-        self.log.clear()
-
-    # -- aggregate views -----------------------------------------------------------
-
-    def total_bytes(self, tag_prefix: Optional[str] = None) -> int:
-        return sum(
-            record.payload_bytes
-            for record in self.log
-            if tag_prefix is None or record.tag.startswith(tag_prefix)
-        )
-
-    def bytes_into(self, node: str) -> int:
-        """Total bytes received by ``node`` (cloud-ingress accounting)."""
-        return sum(
-            record.payload_bytes for record in self.log if record.dst == node
-        )
-
-    def bytes_into_site(self, site: str) -> int:
-        """Bytes entering ``site`` from other sites."""
-        return sum(
-            record.payload_bytes
-            for record in self.log
-            if self.node_site(record.dst) == site
-            and self.node_site(record.src) != site
-        )
-
-    def cross_site_bytes(self) -> int:
-        """Bytes on links that cross site boundaries (WAN traffic)."""
-        return sum(
-            record.payload_bytes
-            for record in self.log
-            if self.is_cross_site(record.src, record.dst)
-        )
 
     # -- factory topologies ----------------------------------------------------------
 

@@ -15,9 +15,10 @@ connector retry/backoff counters, and circuit-breaker transitions.
 The client activates the context for the duration of one submission
 (``with ctx:``); layers reached indirectly find it through
 :func:`repro.obs.runtime.current_context`.  Every number the
-:class:`~repro.core.client.XDBReport` used to assemble from counter
-snapshots and ledger index marks is re-derived as a *view* over this
-context — same values, one source of truth.
+:class:`~repro.core.client.XDBReport` (and a baseline's
+:class:`~repro.baselines.mediator.BaselineReport`) carries is a *view*
+over this context: nothing else records transfers or engine
+statements, and connectors keep only lifetime retry/failure totals.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class QueryContext:
             root_name=self.query_id, query_id=self.query_id, label=label
         )
         self.metrics = MetricsRegistry()
-        #: every transfer attributed to this context, in ledger order
+        #: every transfer attributed to this context, in order; the
+        #: only record of what the query moved
         self.transfers: List[TransferRecord] = []
         #: circuit-breaker transitions observed while active
         self.breaker_events: List[object] = []

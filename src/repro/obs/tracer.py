@@ -11,9 +11,8 @@ Every span carries **two** intervals:
   ``sim_seconds == attributed network + backoff`` of its subtree.
 
 The paper's phase breakdown (real optimizer CPU + simulated network
-time) is therefore just ``span.wall_seconds + span.sim_seconds`` — the
-same numbers the old mark-based slicing produced, now scoped to a span
-tree instead of global ledger indices.
+time) is therefore just ``span.wall_seconds + span.sim_seconds``, for
+the phase's span or any other span of the tree.
 
 Spans also carry :class:`SpanEvent` point annotations (retries, DDL
 statements, breaker transitions, transfers) and a list of attributed

@@ -1,10 +1,14 @@
 """Baseline system tests: decomposition, equivalence, defining behaviors."""
 
+import threading
+
 import pytest
 
 from repro.baselines.garlic import GarlicSystem
 from repro.baselines.presto import PrestoSystem
 from repro.baselines.sclera import ScleraSystem
+from repro.core.client import XDB
+from repro.net.metrics import summarize
 from repro.workloads.tpch import query
 
 from conftest import assert_same_rows
@@ -43,19 +47,50 @@ def test_presto_pushes_per_table_only(systems):
     assert report.subquery_count == 3
 
 
-def test_presto_transfers_more_bytes_than_garlic(tpch_tiny, systems):
-    deployment, _ = tpch_tiny
-    mark = len(deployment.network.log)
-    systems["garlic"].run(query("Q3"))
-    garlic_bytes = sum(
-        r.payload_bytes for r in deployment.network.log[mark:]
-    )
-    mark = len(deployment.network.log)
-    systems["presto"].run(query("Q3"))
-    presto_bytes = sum(
-        r.payload_bytes for r in deployment.network.log[mark:]
-    )
+def test_presto_transfers_more_bytes_than_garlic(systems):
+    garlic = systems["garlic"].run(query("Q3"))
+    garlic_bytes = sum(r.payload_bytes for r in garlic.context.transfers)
+    presto = systems["presto"].run(query("Q3"))
+    presto_bytes = sum(r.payload_bytes for r in presto.context.transfers)
     assert presto_bytes > garlic_bytes
+
+
+def test_baseline_transfers_unaffected_by_concurrent_xdb(tpch_tiny, systems):
+    """A baseline reports only its own transfers, even while XDB
+    submissions run on another thread over the same deployment."""
+    deployment, _ = tpch_tiny
+    garlic = systems["garlic"]
+    garlic.catalog.refresh()  # no metadata traffic inside the runs
+    solo = garlic.run(query("Q3"))
+    xdb = XDB(deployment)
+    xdb.warm_metadata()
+    started, stop = threading.Event(), threading.Event()
+    submitted, errors = [], []
+
+    def submit_loop():
+        try:
+            while not stop.is_set():
+                started.set()
+                submitted.append(xdb.submit(query("Q5")))
+        except Exception as exc:  # surfaced by the asserts below
+            errors.append(exc)
+            started.set()
+
+    worker = threading.Thread(target=submit_loop)
+    worker.start()
+    try:
+        assert started.wait(timeout=60)
+        reports = [garlic.run(query("Q3")) for _ in range(3)]
+    finally:
+        stop.set()
+        worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert not errors
+    assert submitted
+    for report in reports:
+        assert report.transfers == solo.transfers
+        assert report.transfers == summarize(report.context.transfers)
+        assert report.context is not solo.context
 
 
 def test_mediator_transfer_dominates_processing(systems):
@@ -84,9 +119,7 @@ def test_presto_scaling_workers_shrinks_processing_not_transfers(tpch_tiny):
 def test_sclera_relays_through_mediator(tpch_tiny):
     deployment, _ = tpch_tiny
     system = ScleraSystem(deployment)
-    mark = len(deployment.network.log)
-    system.run(query("Q3"))
-    window = deployment.network.log[mark:]
+    window = system.run(query("Q3")).context.transfers
     shipped = [r for r in window if r.tag.startswith("sclera-ship")]
     fetched = [r for r in window if r.tag.startswith("sclera-fetch")]
     assert shipped and fetched
@@ -137,9 +170,7 @@ def test_baselines_clean_up_temp_state(tpch_tiny, systems):
 def test_mediator_keeps_intermediates_off_members(tpch_tiny, systems):
     """MW systems centralize: member DBMSes never exchange data."""
     deployment, _ = tpch_tiny
-    mark = len(deployment.network.log)
-    systems["presto"].run(query("Q5"))
-    window = deployment.network.log[mark:]
+    window = systems["presto"].run(query("Q5")).context.transfers
     members = set(deployment.database_names())
     for record in window:
         if record.tag.startswith("mediator-fetch"):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.errors import CatalogError, ExecutionError
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import DATE, INTEGER, varchar
 
@@ -99,9 +100,10 @@ def test_explain_returns_plan_text_and_info(db):
 
 
 def test_explain_does_not_execute(db):
-    before = db.trace.rows_processed
-    db.execute("EXPLAIN SELECT * FROM people")
-    assert db.trace.rows_processed == before
+    with QueryContext() as ctx:
+        db.execute("EXPLAIN SELECT * FROM people")
+    assert not ctx.root.find_all(kind="operator")
+    assert ctx.metrics.value("engine.queries", db="D") == 0
 
 
 def test_unknown_table_error_names_database(db):
@@ -117,12 +119,13 @@ def test_server_registry(db):
 
 
 def test_trace_accumulates(db):
-    db.trace.reset()
-    db.execute("SELECT id FROM people")
-    db.execute("SELECT id FROM people")
-    assert db.trace.statements == 2
-    assert db.trace.rows_returned == 20
-    assert len(db.trace.statement_log) == 2
+    with QueryContext() as ctx:
+        db.execute("SELECT id FROM people")
+        db.execute("SELECT id FROM people")
+    assert ctx.metrics.value("engine.statements", db="D") == 2
+    plan_roots = [s for s in ctx.root.children if s.kind == "operator"]
+    assert sum(s.attributes["rows_out"] for s in plan_roots) == 20
+    assert len(ctx.root.subtree_events("sql")) == 2
 
 
 def test_table_stats_for_views_is_none(db):

@@ -23,6 +23,7 @@ from repro.faults import (
     ScriptedFault,
 )
 from repro.federation.deployment import Deployment
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import INTEGER, varchar
 
@@ -158,20 +159,6 @@ def test_fault_schedule_is_deterministic(two_db_deployment):
     assert counts[0] == counts[1] > 0
 
 
-def test_retry_counters_reset_with_connector_counters(two_db_deployment):
-    deployment = two_db_deployment
-    connector = deployment.connector("A")
-    connector.retries = 3
-    connector.failures = 4
-    connector.giveups = 1
-    connector.backoff_seconds = 0.5
-    deployment.reset_metrics()
-    assert connector.retries == 0
-    assert connector.failures == 0
-    assert connector.giveups == 0
-    assert connector.backoff_seconds == 0.0
-
-
 # -- acceptance: TPC-H TD1 under seeded faults ---------------------------
 
 
@@ -286,9 +273,9 @@ def test_slow_link_trips_timeout_budget_then_recovers(two_db_deployment):
     ).install(deployment)
     try:
         assert not connector.is_available()
-        with pytest.raises(ConnectorTimeoutError):
+        with QueryContext() as ctx, pytest.raises(ConnectorTimeoutError):
             connector.execute_sql("SELECT 1 AS x FROM events")
-        assert connector.giveups == 1
+        assert ctx.metrics.value("connector.giveups", db=connector.name) == 1
     finally:
         injector.uninstall()
     assert connector.is_available()

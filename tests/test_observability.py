@@ -158,8 +158,8 @@ def test_every_transfer_attributed_to_exactly_one_span(joined_report):
         for record in span.records
     ]
     assert sorted(attributed) == sorted(id(r) for r in ctx.transfers)
-    # And the context saw exactly the records the network logged while
-    # it was active (the whole submission, including cleanup drops).
+    # And the context saw the whole submission's transfers (including
+    # cleanup drops): it is their only record.
     assert len(ctx.transfers) > 0
 
 
